@@ -38,14 +38,10 @@ from .core import (
     join,
     lp,
     meet,
-    norm_eval,
     norm_from_dict,
-    norm_to_dict,
     permute_norm,
     rescale_coordinates,
-    sandwich_constants,
     space_from_dict,
-    space_to_dict,
     validate_lattice_norm,
 )
 from .moduli import (

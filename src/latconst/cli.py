@@ -202,8 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", help="JSON norm spec file {dim, norm}")
         p.add_argument("--h", type=float, default=None, dest="resolution",
                        help="coordinate grid step (default: budget-fitted per dimension)")
-        p.add_argument("--tol", type=float, default=5e-3,
-                       help="tolerance for verdicts and the embed defect cutoff")
         p.add_argument("--eps-grid", type=str, default="0:1:0.05",
                        help="modulus grid as a:b:step")
         p.add_argument("--seed", type=int, default=0)
@@ -214,6 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--builtin-suite", action="store_true",
                            help="run the self-contained catalog suite")
+        if name == "embed":
+            p.add_argument("--tol", type=float, default=RunConfig.tolerance,
+                           help="the source pair's defect must stay below 1 - TOL")
     return parser
 
 
@@ -225,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
             spec_path=args.spec,
             builtin_suite=getattr(args, "builtin_suite", False),
             resolution=args.resolution,
-            tolerance=args.tol,
+            tolerance=getattr(args, "tol", RunConfig.tolerance),
             eps_grid=_parse_eps_grid(args.eps_grid),
             seed=args.seed,
             fmt=args.format,

@@ -1,45 +1,43 @@
 """Certified computation of the five sphere constants of a lattice norm.
 
-Each constant is an inf or sup of a Lipschitz objective over net-covered
-regions of the unit sphere, computed in two stages:
+Each constant is an inf or sup of a Lipschitz objective over unit-sphere
+pairs, computed by the one engine ``search.certified_extremum``: the net
+scan yields the certified side, ``net value -/+ (sum of per-argument
+Lipschitz factors) * mesh``, and refinement from the best net pairs
+improves the attained side only.  This module supplies the objectives, the
+nets and their slacks, and clamps the certificates to [1, 2].
 
-1. net scan: exact extremum over a certified net, which yields the bound on
-   the unreachable side via ``net value -/+ (sum of per-argument Lipschitz
-   factors) * mesh``;
-2. local refinement: projected coordinate descent from the best net pairs,
-   which improves the attained side only.
-
-Per-argument Lipschitz factors used in the certificates: 1 for the
-positive-pair and disjoint-pair objectives ||x + y||, and the conservative
-factor 2 for the full-sphere objectives built from max/min of ||x - y|| and
+Per-argument Lipschitz factors: 1 for ||x + y|| on positive and disjoint
+pairs, and the conservative 2 for the full-sphere max/min of ||x - y|| and
 ||x + y||.  Disjointness is combinatorial in the coordinatewise order, so
-the disjoint constants enumerate support pairs exactly and optimize over
-positive sub-spheres, each with its own mesh certificate.
+beta and alpha enumerate support pairs exactly: one engine block per pair,
+over positive sub-sphere nets with their own mesh certificates.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BudgetExceededError, LatticeSpace, UnsupportedDimensionError
+from .core import LatticeSpace, UnsupportedDimensionError
 from .nets import (
     DEFAULT_PAIR_BUDGET,
-    DEFAULT_POINT_CAP,
     SphereNet,
-    default_resolution,
+    face_pairs,
     face_point_count,
-    fit_face_resolution,
-    fit_half_sphere_resolution,
-    grid_values,
+    fit_resolution,
     half_sphere_net,
+    over_budget,
     positive_face_net,
     positive_sphere_net,
+    resolve_resolution,
+    steps_of,
+    support_face_net,
     support_pairs,
 )
-from .search import refine_pair_on_sphere, scan_pairs
+from .search import certified_extremum
 
 __all__ = [
     "ConstantEstimate",
@@ -56,7 +54,6 @@ __all__ = [
 
 _TOP_K_PAIRS = 4
 _TOP_K_SIGNED = 10
-_STEP_MIN = 1e-11
 
 
 @dataclass
@@ -91,130 +88,74 @@ class ConstantEstimate:
         }
 
 
-def _steps_of(resolution: float) -> int:
-    return len(grid_values(resolution)) - 1
+def _exact(kind: str, value: float, space: LatticeSpace, y_sign: float = 1.0):
+    """Exact value in dimension 1, witnessed by (e, y_sign * e) for the unit e."""
+    e = np.array([1.0]) / space.basis_norms[0]
+    return ConstantEstimate(kind, value, value, value, (e, y_sign * e), 0.0, {})
 
 
-def _exact(kind: str, value: float, witnesses, info=None) -> ConstantEstimate:
-    return ConstantEstimate(kind, value, value, value, witnesses, 0.0, info or {})
+def _plus(space: LatticeSpace):
+    return lambda X, Y: space.norm_values(X + Y)
 
 
-def _resolve_pair_resolution(
-    space: LatticeSpace, resolution: float | None, budget: int, half_sphere: bool
-) -> float:
-    """Grid step for a sphere x sphere scan, honoring the pair budget.
+def net_pair_extremum(
+    space: LatticeSpace,
+    kind: str,
+    objective,
+    lipschitz: float,
+    resolution: float | None,
+    pair_budget: int,
+    maximize: bool = False,
+    full_sphere: bool = False,
+):
+    """The engine on one net paired with itself: the positive face net, or
+    the half-sphere net for full-sphere objectives (which are invariant
+    under x -> -x and y -> -y).  The slack is ``lipschitz * mesh``, with
+    ``lipschitz`` the sum of the per-argument Lipschitz factors.
 
-    With no explicit resolution the finest fitting step (no finer than the
-    dimension default) is chosen; an explicit step that would blow the
-    budget raises, reporting the coarsest step that fits.
+    Returns (step, net, certified, attained, witnesses).
     """
-    fit = fit_half_sphere_resolution if half_sphere else fit_face_resolution
-    if resolution is None:
-        return fit(space.dim, budget)
-    count = face_point_count(space.dim, _steps_of(resolution))
-    if half_sphere:
-        count *= 2 ** (space.dim - 1)
-    if count * count > budget:
-        need = fit(space.dim, budget)
-        raise BudgetExceededError(
-            f"resolution {resolution} gives {count}^2 net pairs, over the budget "
-            f"{budget}; use resolution >= {need:.6g}",
-            required_resolution=need,
-        )
-    return float(resolution)
+    orbits = 2 ** (space.dim - 1) if full_sphere else 1
+    h = resolve_resolution(kind, space.dim, resolution, pair_budget,
+                           lambda n: (orbits * face_point_count(space.dim, n)) ** 2)
+    net = (half_sphere_net if full_sphere else positive_face_net)(space, h)
+    top = _TOP_K_SIGNED if full_sphere else _TOP_K_PAIRS
+    block = (net.points, net.points, lipschitz * net.mesh_norm, 2 * h, None, None)
+    return (h, net) + certified_extremum(
+        space, objective, [block], maximize, not full_sphere, top_k=top, refine=top)
 
 
-def _sum_values(space: LatticeSpace):
-    def values(xb: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return space.norm_values(xb[:, None, :] + ys[None, :, :])
-
-    return values
-
-
-def _diff_values(space: LatticeSpace):
-    def values(xb: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return space.norm_values(xb[:, None, :] - ys[None, :, :])
-
-    return values
-
-
-def _schaffer_values(space: LatticeSpace):
-    def values(xb: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        d = space.norm_values(xb[:, None, :] - ys[None, :, :])
-        s = space.norm_values(xb[:, None, :] + ys[None, :, :])
-        return np.maximum(d, s)
-
-    return values
-
-
-def _james_values(space: LatticeSpace):
-    def values(xb: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        d = space.norm_values(xb[:, None, :] - ys[None, :, :])
-        s = space.norm_values(xb[:, None, :] + ys[None, :, :])
-        return np.minimum(d, s)
-
-    return values
+def _enclosure(kind, maximize, certified, attained, witnesses, mesh, info):
+    """Interval from the engine's certified and attained values, clamped to
+    the a priori range [1, 2] of every sphere constant here (an infimum is
+    >= 1, a supremum <= 2)."""
+    if maximize:
+        upper = min(2.0, certified)
+        lower = min(attained, upper)
+        return ConstantEstimate(kind, lower, upper, lower, witnesses, mesh, info)
+    lower = min(max(1.0, certified), attained)
+    return ConstantEstimate(kind, lower, attained, attained, witnesses, mesh, info)
 
 
 def lambda_plus(
     space: LatticeSpace,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    max_points: int = DEFAULT_POINT_CAP,
 ) -> ConstantEstimate:
     """inf ||x + y|| over positive unit pairs; the objective is 1-Lipschitz
     in each argument, so lower = net min - 2 * mesh."""
     if space.dim == 1:
-        e = np.array([1.0]) / space.basis_norms[0]
-        return _exact("lambda_plus", 2.0, (e, e))
-    h = _resolve_pair_resolution(space, resolution, pair_budget, half_sphere=False)
-    net = positive_face_net(space, h, max_points=max_points)
-    pts = net.points
-    net_min, seeds = scan_pairs(space, pts, pts, _sum_values(space), top_k=_TOP_K_PAIRS)
-    objective = lambda X, Y: space.norm_values(X + Y)
-    best = math.inf
-    wx = wy = None
-    for _, i, j in seeds:
-        val, rx, ry = refine_pair_on_sphere(
-            space, objective, pts[i], pts[j], positive=True, step0=2 * h, step_min=_STEP_MIN
-        )
-        if val < best:
-            best, wx, wy = val, rx, ry
-    upper = min(best, net_min)
-    lower = min(max(1.0, net_min - 2.0 * net.mesh_norm), upper)
+        return _exact("lambda_plus", 2.0, space)
+    h, net, certified, attained, witnesses = net_pair_extremum(
+        space, "lambda_plus", _plus(space), 2.0, resolution, pair_budget)
     info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(net) ** 2}
-    return ConstantEstimate("lambda_plus", lower, upper, upper, (wx, wy), net.mesh_norm, info)
+    return _enclosure("lambda_plus", False, certified, attained, witnesses,
+                      net.mesh_norm, info)
 
 
 # ---------------------------------------------------------------------------
 # disjoint-support constants
 # ---------------------------------------------------------------------------
-
-
-def _support_face_net(
-    space: LatticeSpace, support: tuple[int, ...], resolution: float, max_points: int
-) -> tuple[np.ndarray, float]:
-    """Face net of the positive unit sphere of span{e_i : i in support},
-    embedded into R^dim, with its own mesh certificate."""
-    b = space.basis_norms[list(support)]
-    if len(support) == 1:
-        pts = np.zeros((1, space.dim))
-        pts[0, support[0]] = 1.0 / b[0]
-        return pts, 0.0
-    g = grid_values(resolution)
-    k = len(support)
-    if len(g) ** k > max_points:
-        raise BudgetExceededError(
-            f"sub-grid {len(g)}^{k} exceeds the point cap {max_points}"
-        )
-    sub = np.stack(np.meshgrid(*([g] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    sub = sub[np.max(sub, axis=1) == 1.0]
-    pts = np.zeros((sub.shape[0], space.dim))
-    pts[:, list(support)] = sub
-    pts = pts / space.norm_values(pts)[:, None]
-    pts = np.unique(pts, axis=0)
-    mesh = float(resolution) * float(np.sum(b) / np.min(b))
-    return pts, mesh
 
 
 def _disjoint_support_extremum(
@@ -223,112 +164,63 @@ def _disjoint_support_extremum(
     maximize: bool,
     resolution: float | None,
     pair_budget: int,
-    max_points: int,
 ) -> ConstantEstimate:
-    """Shared engine for the disjoint-pair inf (beta) and sup (alpha):
-    exact support-pair enumeration, one certified sub-net scan per pair."""
+    """Shared path of the disjoint-pair inf (beta) and sup (alpha): exact
+    support-pair enumeration, one engine block per support pair, each over
+    certified sub-nets with their own meshes.
+
+    Without an explicit resolution every support size k gets the finest
+    step whose k-dimensional face net, squared, fits the per-pair share of
+    the budget.  The total workload is checked before any sub-net is built.
+    """
     if space.dim < 2:
         raise UnsupportedDimensionError(f"{kind} requires dimension >= 2")
     pairs = support_pairs(space.dim)
+    sizes = Counter((len(a), len(b)) for a, b in pairs)
     per_pair = max(1, pair_budget // len(pairs))
-    cap = int(math.isqrt(per_pair))
+    steps = {
+        k: float(resolution) if resolution is not None
+        else fit_resolution(k, per_pair, face_pairs(k)) or 1.0
+        for k in range(1, space.dim)
+    }
 
-    def sub_resolution(k: int) -> float:
-        if resolution is not None:
-            return float(resolution)
-        n0 = int(round(1.0 / default_resolution(k)))
-        for n in range(n0, 0, -1):
-            if face_point_count(k, n) <= cap:
-                return 1.0 / n
-        return 1.0
+    def workload(n_of) -> int:  # pairs scanned with n_of(k) grid steps at support size k
+        return sum(c * face_point_count(ka, n_of(ka)) * face_point_count(kb, n_of(kb))
+                   for (ka, kb), c in sizes.items())
 
-    nets: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
-
-    def net_for(s: tuple[int, ...]) -> tuple[np.ndarray, float]:
-        if s not in nets:
-            nets[s] = _support_face_net(space, s, sub_resolution(len(s)), max_points)
-        return nets[s]
-
-    workload = 0
-    sign = -1.0 if maximize else 1.0
-    values = _sum_values(space)
-    best_net = math.inf
-    bound = math.inf  # certified bound on the unreachable side, signed
-    candidates: list[tuple[float, tuple[int, ...], tuple[int, ...], int, int]] = []
-    for a, b_sup in pairs:
-        xa, mesh_a = net_for(a)
-        yb, mesh_b = net_for(b_sup)
-        workload += len(xa) * len(yb)
-        if workload > pair_budget:
-            raise BudgetExceededError(
-                f"{kind}: support-pair scan exceeds the pair budget {pair_budget}; "
-                "pass a coarser resolution"
-            )
-        pair_val, seeds = scan_pairs(space, xa, yb, values, maximize=maximize, top_k=2)
-        slack = mesh_a + mesh_b
-        bound = min(bound, sign * pair_val - slack)
-        if sign * pair_val < best_net:
-            best_net = sign * pair_val
-        for v, i, j in seeds:
-            candidates.append((sign * v, a, b_sup, i, j))
-
-    candidates.sort(key=lambda c: c[0])
-    objective = lambda X, Y: space.norm_values(X + Y)
-    best = math.inf
-    wx = wy = None
-    for v, a, b_sup, i, j in candidates[:_TOP_K_PAIRS]:
-        xa, _ = nets[a]
-        yb, _ = nets[b_sup]
-        step0 = 2 * max(sub_resolution(len(a)), sub_resolution(len(b_sup)))
-        val, rx, ry = refine_pair_on_sphere(
-            space,
-            objective,
-            xa[i],
-            yb[j],
-            positive=True,
-            step0=step0,
-            step_min=_STEP_MIN,
-            maximize=maximize,
-            support_x=a,
-            support_y=b_sup,
-        )
-        if sign * val < best:
-            best, wx, wy = sign * val, rx, ry
-
-    attained = sign * min(best, best_net)
-    certified = sign * bound
-    mesh_rep = max(
-        (nets[a][1] + nets[b][1]) / 2.0 for a, b in pairs
-    )
-    info = {"support_pairs": len(pairs), "pairs_scanned": workload}
-    if maximize:
-        upper = min(2.0, certified)
-        lower = min(attained, upper)
-        est = lower
-    else:
-        lower = min(max(1.0, certified), attained)
-        upper = attained
-        est = upper
-    return ConstantEstimate(kind, lower, upper, est, (wx, wy), mesh_rep, info)
+    scanned = workload(lambda k: steps_of(steps[k]))
+    if scanned > pair_budget:
+        raise over_budget(
+            f"{kind}: support-pair scan needs {scanned} net pairs, over the budget "
+            f"{pair_budget}", fit_resolution(space.dim, pair_budget,
+                                             lambda n: workload(lambda k: n)))
+    nets = {s: support_face_net(space, s, steps[len(s)])
+            for s in sorted({s for pair in pairs for s in pair})}
+    blocks = [
+        (nets[a].points, nets[b].points, nets[a].mesh_norm + nets[b].mesh_norm,
+         2 * max(steps[len(a)], steps[len(b)]), a, b)
+        for a, b in pairs
+    ]
+    certified, attained, witnesses = certified_extremum(
+        space, _plus(space), blocks, maximize, top_k=2, refine=_TOP_K_PAIRS)
+    mesh_rep = max((nets[a].mesh_norm + nets[b].mesh_norm) / 2.0 for a, b in pairs)
+    info = {"support_pairs": len(pairs), "pairs_scanned": scanned}
+    return _enclosure(kind, maximize, certified, attained, witnesses, mesh_rep, info)
 
 
 def beta(
     space: LatticeSpace,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    max_points: int = DEFAULT_POINT_CAP,
 ) -> ConstantEstimate:
     """inf ||x v y|| = inf ||x + y|| over disjoint positive unit pairs."""
-    return _disjoint_support_extremum(
-        space, "beta", False, resolution, pair_budget, max_points
-    )
+    return _disjoint_support_extremum(space, "beta", False, resolution, pair_budget)
 
 
 def alpha(
     space: LatticeSpace,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    max_points: int = DEFAULT_POINT_CAP,
 ) -> ConstantEstimate:
     """sup ||x v y|| over disjoint positive pairs in the unit ball.
 
@@ -339,29 +231,15 @@ def alpha(
     positives stays in the ball).
     """
     if space.dim == 1:
-        e = np.array([1.0]) / space.basis_norms[0]
-        return _exact("alpha", 1.0, (e, e))
+        return _exact("alpha", 1.0, space)
     # the disjoint scan and the cross-check share the per-constant budget
     pair_budget //= 2
-    est = _disjoint_support_extremum(
-        space, "alpha", True, resolution, pair_budget, max_points
-    )
-    h = _resolve_pair_resolution(space, resolution, pair_budget, half_sphere=False)
-    net = positive_face_net(space, h, max_points=max_points)
-    pts = net.points
-    net_max, seeds = scan_pairs(
-        space, pts, pts, _diff_values(space), maximize=True, top_k=_TOP_K_PAIRS
-    )
-    objective = lambda X, Y: space.norm_values(X - Y)
-    cross = -math.inf
-    for _, i, j in seeds:
-        val, _, _ = refine_pair_on_sphere(
-            space, objective, pts[i], pts[j], positive=True,
-            step0=2 * h, step_min=_STEP_MIN, maximize=True,
-        )
-        cross = max(cross, val)
-    est.info["cross_check_estimate"] = max(cross, net_max)
-    est.info["cross_check_upper"] = min(2.0, net_max + 2.0 * net.mesh_norm)
+    est = _disjoint_support_extremum(space, "alpha", True, resolution, pair_budget)
+    *_, certified, attained, _ = net_pair_extremum(
+        space, "alpha", lambda X, Y: space.norm_values(X - Y), 2.0, resolution,
+        pair_budget, maximize=True)
+    est.info["cross_check_estimate"] = attained
+    est.info["cross_check_upper"] = min(2.0, certified)
     return est
 
 
@@ -376,72 +254,39 @@ def _full_sphere_extremum(
     maximize: bool,
     resolution: float | None,
     pair_budget: int,
-    max_points: int,
 ) -> ConstantEstimate:
-    h = _resolve_pair_resolution(space, resolution, pair_budget, half_sphere=True)
-    net = half_sphere_net(space, h, max_points=max_points)
-    pts = net.points
-    values = _james_values(space) if kind == "james" else _schaffer_values(space)
-    net_val, seeds = scan_pairs(space, pts, pts, values, maximize=maximize, top_k=_TOP_K_SIGNED)
-    if kind == "james":
-        objective = lambda X, Y: np.minimum(
-            space.norm_values(X - Y), space.norm_values(X + Y)
-        )
-    else:
-        objective = lambda X, Y: np.maximum(
-            space.norm_values(X - Y), space.norm_values(X + Y)
-        )
-    sign = -1.0 if maximize else 1.0
-    best = math.inf
-    wx = wy = None
-    for _, i, j in seeds:
-        val, rx, ry = refine_pair_on_sphere(
-            space, objective, pts[i], pts[j], positive=False,
-            step0=2 * h, step_min=_STEP_MIN, maximize=maximize,
-        )
-        if sign * val < best:
-            best, wx, wy = sign * val, rx, ry
-    attained = sign * min(best, sign * net_val)
-    slack = 4.0 * net.mesh_norm  # factor 2 per argument, two arguments
+    combine = np.minimum if kind == "james" else np.maximum
+    # Lipschitz factor 2 per argument, two arguments
+    h, net, certified, attained, witnesses = net_pair_extremum(
+        space, kind, lambda X, Y: combine(space.norm_values(X - Y), space.norm_values(X + Y)),
+        4.0, resolution, pair_budget, maximize, full_sphere=True)
     info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(net) ** 2}
-    if maximize:
-        upper = min(2.0, net_val + slack)
-        lower = min(attained, upper)
-        est = lower
-    else:
-        lower = min(max(1.0, net_val - slack), attained)
-        upper = attained
-        est = upper
-    return ConstantEstimate(kind, lower, upper, est, (wx, wy), net.mesh_norm, info)
+    return _enclosure(kind, maximize, certified, attained, witnesses, net.mesh_norm, info)
 
 
 def lambda_schaffer(
     space: LatticeSpace,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    max_points: int = DEFAULT_POINT_CAP,
 ) -> ConstantEstimate:
     """inf max{||x - y||, ||x + y||} over full unit-sphere pairs."""
     if space.dim == 1:
-        e = np.array([1.0]) / space.basis_norms[0]
-        return _exact("lambda", 2.0, (e, e))
-    return _full_sphere_extremum(space, "lambda", False, resolution, pair_budget, max_points)
+        return _exact("lambda", 2.0, space)
+    return _full_sphere_extremum(space, "lambda", False, resolution, pair_budget)
 
 
 def james(
     space: LatticeSpace,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    max_points: int = DEFAULT_POINT_CAP,
 ) -> ConstantEstimate:
     """sup min{||x - y||, ||x + y||} over full unit-sphere pairs.
 
     In dimension 1 every unit pair has x = +/- y, so the value is 0.
     """
     if space.dim == 1:
-        e = np.array([1.0]) / space.basis_norms[0]
-        return _exact("james", 0.0, (e, -e))
-    return _full_sphere_extremum(space, "james", True, resolution, pair_budget, max_points)
+        return _exact("james", 0.0, space, y_sign=-1.0)
+    return _full_sphere_extremum(space, "james", True, resolution, pair_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +340,16 @@ def constant_battery(
     space: LatticeSpace,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    max_points: int = DEFAULT_POINT_CAP,
 ) -> ConstantBattery:
     """Compute lambda <= lambda_plus <= beta <= alpha <= james with certificates."""
     if space.dim < 2:
         raise UnsupportedDimensionError("the constant battery requires dimension >= 2")
     consts = {
-        "lambda": lambda_schaffer(space, resolution, pair_budget, max_points),
-        "lambda_plus": lambda_plus(space, resolution, pair_budget, max_points),
-        "beta": beta(space, resolution, pair_budget, max_points),
-        "alpha": alpha(space, resolution, pair_budget, max_points),
-        "james": james(space, resolution, pair_budget, max_points),
+        "lambda": lambda_schaffer(space, resolution, pair_budget),
+        "lambda_plus": lambda_plus(space, resolution, pair_budget),
+        "beta": beta(space, resolution, pair_budget),
+        "alpha": alpha(space, resolution, pair_budget),
+        "james": james(space, resolution, pair_budget),
     }
     chain, ok = build_chain(consts)
     product = consts["lambda"].estimate * consts["james"].estimate

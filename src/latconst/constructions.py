@@ -29,7 +29,7 @@ from .core import (
     meet,
     rescale_coordinates,
 )
-from .nets import DEFAULT_PAIR_BUDGET, fit_face_resolution, positive_face_net
+from .nets import DEFAULT_PAIR_BUDGET, face_pairs, positive_face_net, resolve_resolution
 from .search import refine_vector_on_sphere
 
 __all__ = [
@@ -158,7 +158,8 @@ def diagonal_isomorphism(
     if space.dim == 1:
         return new_space, 1.0
 
-    h = fit_face_resolution(space.dim, pair_budget)
+    h = resolve_resolution("diagonal_isomorphism", space.dim, None, pair_budget,
+                           face_pairs(space.dim))
 
     def op_norm(src: LatticeSpace, dst: LatticeSpace) -> float:
         net = positive_face_net(src, h)

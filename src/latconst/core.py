@@ -55,12 +55,8 @@ __all__ = [
     "permute_norm",
     "rescale_coordinates",
     "norm_from_dict",
-    "norm_to_dict",
     "LatticeSpace",
     "space_from_dict",
-    "space_to_dict",
-    "norm_eval",
-    "sandwich_constants",
     "NormValidationReport",
     "validate_lattice_norm",
 ]
@@ -353,12 +349,30 @@ def rescale_coordinates(expr: NormExpr, d: np.ndarray) -> NormExpr:
 # ---------------------------------------------------------------------------
 
 
+def _parse_number(raw, what: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise InvalidNormError(f"{what} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _parse_numbers(raw, what: str) -> list[float]:
+    if not isinstance(raw, (list, tuple)):
+        raise InvalidNormError(f"{what} must be a list of numbers, got {raw!r}")
+    return [_parse_number(v, f"each entry of {what}") for v in raw]
+
+
+def _parse_dim(raw, what: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
+        raise InvalidNormError(f"{what} must be a positive integer, got {raw!r}")
+    return raw
+
+
 def _parse_p(raw) -> float:
     if isinstance(raw, str):
         if raw.lower() == "inf":
             return float("inf")
         raise InvalidNormError(f'p must be a number or "inf", got {raw!r}')
-    return _check_p(raw)
+    return _check_p(_parse_number(raw, "p"))
 
 
 def norm_from_dict(d: dict, dim: int) -> NormExpr:
@@ -371,8 +385,7 @@ def norm_from_dict(d: dict, dim: int) -> NormExpr:
             raise InvalidNormError("lp norm needs a 'p' field")
         p = _parse_p(d["p"])
         weights = d.get("weights")
-        if weights is None:
-            weights = np.ones(dim)
+        weights = np.ones(dim) if weights is None else _parse_numbers(weights, "weights")
         expr = WeightedP(p, weights)
         if expr.dim != dim:
             raise DimensionMismatchError(f"lp weights have length {expr.dim}, expected {dim}")
@@ -385,9 +398,15 @@ def norm_from_dict(d: dict, dim: int) -> NormExpr:
     if kind == "scale":
         if "c" not in d or "term" not in d:
             raise InvalidNormError("scale norm needs 'c' and 'term'")
-        return Scale(d["c"], norm_from_dict(d["term"], dim))
+        return Scale(_parse_number(d["c"], "scale factor c"), norm_from_dict(d["term"], dim))
     if kind == "formmax":
-        expr = FormMax(d.get("rows", []))
+        rows = d.get("rows", [])
+        if not isinstance(rows, (list, tuple)):
+            raise InvalidNormError(f"rows must be a list of lists, got {rows!r}")
+        rows = [_parse_numbers(r, "a formmax row") for r in rows]
+        if len({len(r) for r in rows}) > 1:
+            raise InvalidNormError("formmax rows must have equal lengths")
+        expr = FormMax(rows)
         if expr.dim != dim:
             raise DimensionMismatchError(f"formmax rows have width {expr.dim}, expected {dim}")
         return expr
@@ -401,19 +420,13 @@ def norm_from_dict(d: dict, dim: int) -> NormExpr:
         for b in blocks:
             if not isinstance(b, dict) or "dim" not in b or "norm" not in b:
                 raise InvalidNormError("each block needs 'dim' and 'norm'")
-            k = int(b["dim"])
-            if k < 1:
-                raise InvalidNormError("block dimension must be >= 1")
+            k = _parse_dim(b["dim"], "block 'dim'")
             parsed.append(norm_from_dict(b["norm"], k))
         expr = BlockSum(_parse_p(d["p"]), parsed)
         if expr.dim != dim:
             raise DimensionMismatchError(f"blocks sum to dimension {expr.dim}, expected {dim}")
         return expr
     raise InvalidNormError(f"unknown norm type {kind!r}")
-
-
-def norm_to_dict(expr: NormExpr) -> dict:
-    return expr.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +457,6 @@ class LatticeSpace:
             )
         b.setflags(write=False)
         self.basis_norms = b
-
-    @property
-    def sandwich(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower weights, upper weights) for max_i |x_i| w_i <= ||x|| <= sum_i |x_i| w_i."""
-        return self.basis_norms, self.basis_norms
 
     @property
     def mesh_factor(self) -> float:
@@ -482,24 +490,8 @@ def space_from_dict(spec: dict) -> LatticeSpace:
     """Build a space from the ``{"dim": n, "norm": E}`` exchange format."""
     if not isinstance(spec, dict) or "dim" not in spec or "norm" not in spec:
         raise InvalidNormError("norm spec must be an object with 'dim' and 'norm'")
-    dim = spec["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InvalidNormError(f"'dim' must be a positive integer, got {dim!r}")
+    dim = _parse_dim(spec["dim"], "'dim'")
     return LatticeSpace(dim, norm_from_dict(spec["norm"], dim))
-
-
-def space_to_dict(space: LatticeSpace) -> dict:
-    return space.to_dict()
-
-
-def norm_eval(space: LatticeSpace, x) -> float:
-    """Value of the space's norm at x."""
-    return space.norm_value(x)
-
-
-def sandwich_constants(space: LatticeSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate weights for the two-sided sandwich bound (see module docs)."""
-    return space.sandwich
 
 
 # ---------------------------------------------------------------------------

@@ -22,25 +22,17 @@ are clamped to that range.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ConstantEstimate, lambda_plus
+from .constants import ConstantEstimate, lambda_plus, net_pair_extremum
 from .core import LatticeSpace
-from .nets import (
-    DEFAULT_POINT_CAP,
-    box_grid,
-    default_resolution,
-    face_point_count,
-    fit_face_resolution,
-    grid_values,
-    positive_face_net,
-)
-from .core import BudgetExceededError
-from .search import refine_pair_on_sphere, scan_pairs
+from .nets import box_grid, face_point_count, positive_face_net, resolve_resolution
+from .search import refine_pair_on_sphere
 
 __all__ = [
     "DEFAULT_MODULI_BUDGET",
@@ -63,7 +55,6 @@ __all__ = [
 # reflect the coarser net.
 DEFAULT_MODULI_BUDGET = 2_000_000
 
-_STEP_MIN = 1e-11
 _FEAS_TOL = 1e-15
 _TOP_K = 4
 
@@ -167,8 +158,11 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def _exact_zero(kind: str, space: LatticeSpace, witnesses) -> ConstantEstimate:
-    return ConstantEstimate(kind, 0.0, 0.0, 0.0, witnesses, 0.0, {"resolution": None})
+def _exact_zero(kind: str, space: LatticeSpace, y_scale: float) -> ConstantEstimate:
+    """The exact value 0 at eps = 0, witnessed by (e, y_scale * e), e = e_1/||e_1||."""
+    e1 = np.zeros(space.dim)
+    e1[0] = 1.0 / space.basis_norms[0]
+    return ConstantEstimate(kind, 0.0, 0.0, 0.0, (e1, y_scale * e1), 0.0, {"resolution": None})
 
 
 def sigma(
@@ -176,62 +170,25 @@ def sigma(
     eps: float,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_MODULI_BUDGET,
-    max_points: int = DEFAULT_POINT_CAP,
 ) -> ConstantEstimate:
     """Upper modulus of monotonicity at eps, with certificate slack (1+eps)*mesh."""
     eps = _check_eps(eps)
-    e1 = np.zeros(space.dim)
-    e1[0] = 1.0 / space.basis_norms[0]
     if eps == 0.0:
         # ||x + 0*y|| - 1 = 0 on the sphere, exactly
-        return _exact_zero("sigma", space, (e1, e1))
-    if resolution is None:
-        resolution = fit_face_resolution(space.dim, pair_budget)
-    else:
-        cnt = face_point_count(space.dim, len(grid_values(resolution)) - 1)
-        if cnt * cnt > pair_budget:
-            need = fit_face_resolution(space.dim, pair_budget)
-            raise BudgetExceededError(
-                f"sigma: resolution {resolution} exceeds pair budget {pair_budget}; "
-                f"use resolution >= {need:.6g}",
-                required_resolution=need,
-            )
-    net = positive_face_net(space, resolution, max_points=max_points)
-    pts = net.points
-
-    def values(xb: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return space.norm_values(xb[:, None, :] + eps * ys[None, :, :]) - 1.0
-
-    net_min, seeds = scan_pairs(space, pts, pts, values, top_k=_TOP_K)
-    objective = lambda X, Y: space.norm_values(X + eps * Y) - 1.0
-    best = math.inf
-    wx = wy = None
-    for _, i, j in seeds:
-        val, rx, ry = refine_pair_on_sphere(
-            space, objective, pts[i], pts[j], positive=True,
-            step0=2 * resolution, step_min=_STEP_MIN,
-        )
-        if val < best:
-            best, wx, wy = val, rx, ry
-    est = max(0.0, min(best, net_min))
-    slack = (1.0 + eps) * net.mesh_norm
-    lower = min(max(0.0, net_min - slack), est)
+        return _exact_zero("sigma", space, 1.0)
+    resolution, net, certified, attained, witnesses = net_pair_extremum(
+        space, "sigma", lambda X, Y: space.norm_values(X + eps * Y) - 1.0, 1.0 + eps,
+        resolution, pair_budget)
+    est = max(0.0, attained)
+    lower = min(max(0.0, certified), est)
     info = {"eps": eps, "resolution": resolution, "net_points": len(net),
             "pairs_scanned": len(net) ** 2}
-    return ConstantEstimate("sigma", lower, est, est, (wx, wy), net.mesh_norm, info)
+    return ConstantEstimate("sigma", lower, est, est, witnesses, net.mesh_norm, info)
 
 
 # ---------------------------------------------------------------------------
 # delta
 # ---------------------------------------------------------------------------
-
-
-def _fit_delta_resolution(dim: int, pair_budget: int) -> float:
-    n0 = int(round(1.0 / default_resolution(dim)))
-    for n in range(n0, 0, -1):
-        if face_point_count(dim, n) * (n + 1) ** dim <= pair_budget:
-            return 1.0 / n
-    return 1.0
 
 
 def _repair_multiplier(space: LatticeSpace, x: np.ndarray, t: np.ndarray, eps: float):
@@ -251,6 +208,29 @@ def _repair_multiplier(space: LatticeSpace, x: np.ndarray, t: np.ndarray, eps: f
     return None
 
 
+def _constraint_projection(space: LatticeSpace, eps: float):
+    """Projection step for the (x, t) search: x radially onto S+, t clipped
+    to the box and rescaled onto the constraint surface ||t * x|| = eps,
+    which never hurts the objective (shrinking y grows x - y
+    coordinatewise).  Clamping can break feasibility only when scaling up,
+    so feasibility is rechecked."""
+
+    def project(xc: np.ndarray, tc: np.ndarray):
+        np.maximum(xc, 0.0, out=xc)
+        np.clip(tc, 0.0, 1.0, out=tc)
+        nx = space.norm_values(xc)
+        valid = nx > 1e-12
+        np.place(nx, ~valid, 1.0)
+        xu = xc / nx[:, None]
+        nv = space.norm_values(tc * xu)
+        scale = np.where(nv > _FEAS_TOL, eps / np.maximum(nv, _FEAS_TOL), 0.0)
+        tr = np.minimum(tc * scale[:, None], 1.0)
+        feas = valid & (space.norm_values(tr * xu) >= eps - _FEAS_TOL) & (nv > _FEAS_TOL)
+        return xu, tr, feas
+
+    return project
+
+
 def _refine_delta(
     space: LatticeSpace,
     eps: float,
@@ -258,42 +238,13 @@ def _refine_delta(
     t0: np.ndarray,
     step0: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Batched coordinate search over (x on S+, t in the box), keeping the
-    constraint active: every candidate multiplier is rescaled onto
-    ||t * x|| = eps, which never hurts the objective (shrinking y grows
-    x - y coordinatewise)."""
-    from .search import _move_directions
-
-    dx, dt = _move_directions(space.dim, list(range(space.dim)), list(range(space.dim)))
-    x = x0.copy()
-    t = _repair_multiplier(space, x, t0.copy(), eps)
+    """Refinement over (x on S+, t in the box) with the constraint kept
+    active by ``_constraint_projection``."""
+    t = _repair_multiplier(space, x0, t0.copy(), eps)
     assert t is not None, "refinement must start from a feasible point"
-    fbest = 1.0 - float(space.norm_values((1.0 - t) * x))
-    step = float(step0)
-    for _ in range(3000):
-        if step < _STEP_MIN:
-            break
-        xc = np.maximum(x[None, :] + step * dx, 0.0)
-        tc = np.clip(t[None, :] + step * dt, 0.0, 1.0)
-        nx = space.norm_values(xc)
-        valid = nx > 1e-12
-        np.place(nx, ~valid, 1.0)
-        xu = xc / nx[:, None]
-        nv = space.norm_values(tc * xu)
-        # rescale onto the constraint surface; clamping can break feasibility
-        # only when scaling up, so recheck
-        scale = np.where(nv > _FEAS_TOL, eps / np.maximum(nv, _FEAS_TOL), 0.0)
-        tr = np.minimum(tc * scale[:, None], 1.0)
-        feas = valid & (space.norm_values(tr * xu) >= eps - _FEAS_TOL) & (nv > _FEAS_TOL)
-        vals = 1.0 - space.norm_values((1.0 - tr) * xu)
-        vals[~feas] = np.inf
-        k = int(np.argmin(vals))
-        if vals[k] < fbest - 1e-15:
-            fbest = float(vals[k])
-            x = xu[k]
-            t = tr[k]
-        else:
-            step *= 0.5
+    fbest, x, t = refine_pair_on_sphere(
+        space, lambda X, T: 1.0 - space.norm_values((1.0 - T) * X), x0, t,
+        _constraint_projection(space, eps), step0)
     # the search tolerates ~1e-12 constraint slack, which (through square-root
     # geometry) can admit points ~1e-6 outside the true feasible set; push the
     # final multiplier back to strict feasibility along the segment toward 1
@@ -315,28 +266,17 @@ def delta_m(
     eps: float,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_MODULI_BUDGET,
-    max_points: int = DEFAULT_POINT_CAP,
 ) -> ConstantEstimate:
     """Lower modulus of uniform monotonicity at eps (see module docs)."""
     eps = _check_eps(eps)
-    e1 = np.zeros(space.dim)
-    e1[0] = 1.0 / space.basis_norms[0]
     if eps == 0.0:
         # y = 0 is feasible and gives 1 - ||x|| = 0, exactly
-        return _exact_zero("delta", space, (e1, np.zeros(space.dim)))
-    if resolution is None:
-        resolution = _fit_delta_resolution(space.dim, pair_budget)
-    else:
-        n = len(grid_values(resolution)) - 1
-        if face_point_count(space.dim, n) * (n + 1) ** space.dim > pair_budget:
-            need = _fit_delta_resolution(space.dim, pair_budget)
-            raise BudgetExceededError(
-                f"delta: resolution {resolution} exceeds pair budget {pair_budget}; "
-                f"use resolution >= {need:.6g}",
-                required_resolution=need,
-            )
-    net = positive_face_net(space, resolution, max_points=max_points)
-    tgrid = box_grid(space.dim, resolution, max_points=max_points)
+        return _exact_zero("delta", space, 0.0)
+    resolution = resolve_resolution(
+        "delta", space.dim, resolution, pair_budget,
+        lambda n: face_point_count(space.dim, n) * (n + 1) ** space.dim)
+    net = positive_face_net(space, resolution)
+    tgrid = box_grid(space.dim, resolution)
     mesh_t = 0.5 * float(resolution)
     relax = net.mesh_norm + mesh_t
 
@@ -463,27 +403,6 @@ _TOL_IDENTITY = 1e-2
 _TOL_SHAPE = 1e-3
 
 
-class _ModulusCache:
-    def __init__(self, space, resolution, pair_budget):
-        self.space = space
-        self.resolution = resolution
-        self.pair_budget = pair_budget
-        self._sigma: dict[float, ConstantEstimate] = {}
-        self._delta: dict[float, ConstantEstimate] = {}
-
-    def sigma(self, e: float) -> ConstantEstimate:
-        e = float(e)
-        if e not in self._sigma:
-            self._sigma[e] = sigma(self.space, e, self.resolution, self.pair_budget)
-        return self._sigma[e]
-
-    def delta(self, e: float) -> ConstantEstimate:
-        e = float(e)
-        if e not in self._delta:
-            self._delta[e] = delta_m(self.space, e, self.resolution, self.pair_budget)
-        return self._delta[e]
-
-
 def _ratio(d: float) -> float:
     return d / (1.0 - d) if d < 1.0 - 1e-12 else math.inf
 
@@ -502,18 +421,19 @@ def identity_battery(
     eps_grid = sorted(float(e) for e in eps_grid)
     if any(e < 0.0 or e > 1.0 for e in eps_grid):
         raise ValueError("eps grid must lie inside [0, 1]")
-    cache = _ModulusCache(space, resolution, pair_budget)
-    sig = {e: cache.sigma(e).estimate for e in eps_grid}
-    dlt = {e: cache.delta(e).estimate for e in eps_grid}
+    # each modulus is computed once per eps, however many checks read it
+    cache = functools.cache(lambda fn, e: fn(space, float(e), resolution, pair_budget))
+    sig = {e: cache(sigma, e).estimate for e in eps_grid}
+    dlt = {e: cache(delta_m, e).estimate for e in eps_grid}
     lam = lambda_plus(space).estimate
     checks: list[CheckResult] = []
 
     checks.append(CheckResult(
-        "sigma_zero_at_zero", cache.sigma(0.0).estimate == 0.0,
-        details={"value": cache.sigma(0.0).estimate}))
+        "sigma_zero_at_zero", cache(sigma, 0.0).estimate == 0.0,
+        details={"value": cache(sigma, 0.0).estimate}))
     checks.append(CheckResult(
-        "delta_zero_at_zero", cache.delta(0.0).estimate == 0.0,
-        details={"value": cache.delta(0.0).estimate}))
+        "delta_zero_at_zero", cache(delta_m, 0.0).estimate == 0.0,
+        details={"value": cache(delta_m, 0.0).estimate}))
 
     diffs_s = [sig[b] - sig[a] for a, b in zip(eps_grid, eps_grid[1:])]
     checks.append(CheckResult(
@@ -533,7 +453,7 @@ def identity_battery(
     for e in eps_grid:
         if not (0.0 < e < 1.0):
             continue
-        lo = _ratio(cache.delta(e / (1.0 + e)).estimate)
+        lo = _ratio(cache(delta_m, e / (1.0 + e)).estimate)
         hi = _ratio(dlt[e])
         worst_lo = max(worst_lo, lo - sig[e])
         worst_hi = max(worst_hi, sig[e] - hi)
@@ -546,7 +466,7 @@ def identity_battery(
     worst = 0.0
     for e in eps_grid:
         s = sig[e]
-        d = cache.delta(e / (1.0 + s)).estimate
+        d = cache(delta_m, e / (1.0 + s)).estimate
         worst = max(worst, abs(d - s / (1.0 + s)))
     checks.append(CheckResult(
         "shifted_ratio_identity", worst <= _TOL_IDENTITY, details={"max_abs_dev": worst}))
@@ -557,14 +477,14 @@ def identity_battery(
         "lambda_plus_sigma_bound", worst <= _TOL_IDENTITY, details={"max_excess": worst}))
 
     # delta at 1/lambda_plus equals (lambda_plus - 1)/lambda_plus
-    d_at = cache.delta(1.0 / lam).estimate
+    d_at = cache(delta_m, 1.0 / lam).estimate
     dev = abs(d_at - (lam - 1.0) / lam)
     checks.append(CheckResult(
         "delta_at_inverse_lambda_plus", dev <= _TOL_IDENTITY,
         details={"delta": d_at, "expected": (lam - 1.0) / lam, "abs_dev": dev}))
 
     # 1/(1 - delta(1/2)) <= lambda_plus
-    lhs = 1.0 / (1.0 - min(cache.delta(0.5).estimate, 1.0 - 1e-12))
+    lhs = 1.0 / (1.0 - min(cache(delta_m, 0.5).estimate, 1.0 - 1e-12))
     checks.append(CheckResult(
         "lambda_plus_lower_from_delta_half", lhs <= lam + _TOL_IDENTITY,
         details={"lhs": lhs, "lambda_plus": lam}))
@@ -577,7 +497,7 @@ def identity_battery(
         "characteristic_sandwich",
         char_d.value <= char_s.value + ctol and char_s.value <= 2.0 * char_d.value + ctol,
         details={"eps0": char_d.value, "tilde_eps0": char_s.value}))
-    s_at = cache.sigma(min(char_s.value, 1.0)).estimate
+    s_at = cache(sigma, min(char_s.value, 1.0)).estimate
     checks.append(CheckResult(
         "sigma_vanishes_at_characteristic", s_at <= char_s.threshold + ctol,
         details={"sigma_at_characteristic": s_at, "threshold": char_s.threshold}))

@@ -36,13 +36,16 @@ __all__ = [
     "grid_values",
     "positive_sphere_net",
     "positive_face_net",
+    "support_face_net",
     "half_sphere_net",
     "box_grid",
     "support_pairs",
     "face_point_count",
-    "fit_face_resolution",
-    "fit_half_sphere_resolution",
-    "fit_box_pair_resolution",
+    "face_pairs",
+    "steps_of",
+    "over_budget",
+    "fit_resolution",
+    "resolve_resolution",
 ]
 
 DEFAULT_POINT_CAP = 2_000_000
@@ -91,40 +94,30 @@ def grid_values(resolution: float) -> np.ndarray:
     return vals
 
 
-def _cube_grid(dim: int, resolution: float, max_points: int) -> np.ndarray:
+def _cube_grid(dim: int, resolution: float) -> np.ndarray:
     g = grid_values(resolution)
-    total = len(g) ** dim
-    if total > max_points:
-        need = _coarsest_fitting(lambda n: (n + 1) ** dim, max_points)
-        raise BudgetExceededError(
-            f"grid {len(g)}^{dim} = {total} points exceeds the cap {max_points}; "
-            f"use resolution >= {1.0 / need if need else 1.0:.6g}",
-            required_resolution=1.0 / need if need else 1.0,
-        )
+    _check_point_cap(dim, len(g) ** dim, lambda n: (n + 1) ** dim)
     pts = np.stack(np.meshgrid(*([g] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     return pts
 
 
-def _coarsest_fitting(count_of_n, cap: int) -> int | None:
-    # largest N with count_of_n(N) <= cap, scanning down from a generous start
-    for n in range(512, 0, -1):
-        if count_of_n(n) <= cap:
-            return n
-    return None
+def _check_point_cap(dim: int, total: int, count_of_n) -> None:
+    # a fixed memory guard; the pair budgets of the optimizers bind first
+    if total > DEFAULT_POINT_CAP:
+        raise over_budget(f"net of {total} points exceeds the cap {DEFAULT_POINT_CAP}",
+                          fit_resolution(dim, DEFAULT_POINT_CAP, count_of_n))
 
 
-def positive_sphere_net(
-    space: LatticeSpace, resolution: float, max_points: int = DEFAULT_POINT_CAP
-) -> SphereNet:
+def positive_sphere_net(space: LatticeSpace, resolution: float) -> SphereNet:
     """Net of S+ from all nonzero grid points of [0,1]^n, deduplicated by ray.
 
-    Exceeding ``max_points`` raises ``BudgetExceededError`` with the coarsest
-    resolution that fits; the grid is never silently truncated.
+    Exceeding ``DEFAULT_POINT_CAP`` raises ``BudgetExceededError`` with the
+    coarsest resolution that fits; the grid is never silently truncated.
     """
     if space.dim == 1:
         pts = np.array([[1.0]]) / space.basis_norms[0]
         return SphereNet(pts, 0.0, float(resolution), "positive")
-    pts = _cube_grid(space.dim, resolution, max_points)
+    pts = _cube_grid(space.dim, resolution)
     pts = pts[np.max(pts, axis=1) > 0.0]
     reps = pts / np.max(pts, axis=1, keepdims=True)
     reps = np.unique(np.round(reps, 9), axis=0)
@@ -134,67 +127,61 @@ def positive_sphere_net(
     return SphereNet(units, mesh, float(resolution), "positive")
 
 
-def positive_face_net(
-    space: LatticeSpace, resolution: float, max_points: int = DEFAULT_POINT_CAP
-) -> SphereNet:
+def positive_face_net(space: LatticeSpace, resolution: float) -> SphereNet:
     """Net of S+ from the grid points with max coordinate exactly 1.
 
     A subset of ``positive_sphere_net`` carrying the identical mesh
     certificate (the covering argument only ever rounds points of the top
     faces), at ~n/(grid size) of the cost; the optimizers use this one.
     """
-    if space.dim == 1:
-        pts = np.array([[1.0]]) / space.basis_norms[0]
-        return SphereNet(pts, 0.0, float(resolution), "positive-faces")
-    pts = _cube_grid(space.dim, resolution, max_points)
-    pts = pts[np.max(pts, axis=1) == 1.0]
-    units = pts / space.norm_values(pts)[:, None]
-    units = np.unique(units, axis=0)
+    return support_face_net(space, tuple(range(space.dim)), resolution)
+
+
+def support_face_net(
+    space: LatticeSpace, support: tuple[int, ...], resolution: float
+) -> SphereNet:
+    """Face net of the positive unit sphere of span{e_i : i in support},
+    embedded into R^dim.  Its mesh certificate uses the basis norms of the
+    support only; a single coordinate gives the exact one-point net."""
+    b = space.basis_norms[list(support)]
+    if len(support) == 1:
+        units = np.zeros((1, space.dim))
+        units[0, support[0]] = 1.0 / b[0]
+        mesh = 0.0
+    else:
+        sub = _cube_grid(len(support), resolution)
+        sub = sub[np.max(sub, axis=1) == 1.0]
+        pts = np.zeros((sub.shape[0], space.dim))
+        pts[:, list(support)] = sub
+        units = np.unique(pts / space.norm_values(pts)[:, None], axis=0)
+        mesh = float(resolution) * float(np.sum(b) / np.min(b))
     units.setflags(write=False)
-    mesh = float(resolution) * space.mesh_factor
     return SphereNet(units, mesh, float(resolution), "positive-faces")
 
 
-def half_sphere_net(
-    space: LatticeSpace, resolution: float, max_points: int = DEFAULT_POINT_CAP
-) -> SphereNet:
+def half_sphere_net(space: LatticeSpace, resolution: float) -> SphereNet:
     """Net of half the unit sphere: sign orbits of the face net, first nonzero > 0.
 
     Objectives built from ||x - y|| and ||x + y|| are invariant under
     x -> -x and y -> -y separately, so optimizing over half-sphere pairs
     covers the full sphere at a quarter of the pair count.
     """
-    if space.dim == 1:
-        pts = np.array([[1.0]]) / space.basis_norms[0]
-        return SphereNet(pts, 0.0, float(resolution), "half-sphere")
-    base = positive_face_net(space, resolution, max_points=max_points).points
+    base = positive_face_net(space, resolution)
     n = space.dim
-    total = base.shape[0] * 2 ** n
-    if total > max_points:
-        need = _coarsest_fitting(
-            lambda m: ((m + 1) ** n - m**n) * 2 ** n, max_points
-        )
-        raise BudgetExceededError(
-            f"signed net would have {total} points, exceeding the cap {max_points}; "
-            f"use resolution >= {1.0 / need if need else 1.0:.6g}",
-            required_resolution=1.0 / need if need else 1.0,
-        )
-    signed = []
-    for signs in itertools.product((1.0, -1.0), repeat=n):
-        signed.append(base * np.array(signs))
-    allpts = np.vstack(signed)
+    _check_point_cap(n, len(base) * 2**n, lambda m: face_point_count(n, m) * 2**n)
+    allpts = np.vstack([base.points * np.array(signs)
+                        for signs in itertools.product((1.0, -1.0), repeat=n)])
     # canonical representative of {v, -v}: first nonzero coordinate positive
     firstnz = allpts[np.arange(len(allpts)), np.argmax(allpts != 0.0, axis=1)]
     allpts = np.where(firstnz[:, None] < 0.0, -allpts, allpts)
     units = np.unique(allpts, axis=0)
     units.setflags(write=False)
-    mesh = float(resolution) * space.mesh_factor
-    return SphereNet(units, mesh, float(resolution), "half-sphere")
+    return SphereNet(units, base.mesh_norm, float(resolution), "half-sphere")
 
 
-def box_grid(dim: int, resolution: float, max_points: int = DEFAULT_POINT_CAP) -> np.ndarray:
+def box_grid(dim: int, resolution: float) -> np.ndarray:
     """Full grid of [0,1]^dim (multipliers t for points 0 <= y = t*x <= x)."""
-    return _cube_grid(dim, resolution, max_points)
+    return _cube_grid(dim, resolution)
 
 
 def support_pairs(dim: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -231,30 +218,46 @@ def face_point_count(dim: int, n_steps: int) -> int:
     return (n_steps + 1) ** dim - n_steps**dim
 
 
-def fit_face_resolution(dim: int, pair_budget: int) -> float:
-    """Finest step h = 1/N, no finer than the dimension default, with
-    face(N)^2 <= pair_budget (pair optimization over S+ x S+)."""
+def steps_of(resolution: float) -> int:
+    """Number N of grid steps, so that the grid has N + 1 values."""
+    return len(grid_values(resolution)) - 1
+
+
+def face_pairs(dim: int):
+    """Pair count of a face net scanned against itself, by step count N."""
+    return lambda n: face_point_count(dim, n) ** 2
+
+
+def over_budget(message: str, need: float | None) -> BudgetExceededError:
+    """Budget error for ``message``, advising the finest step that fits."""
+    advice = f"use resolution >= {need:.6g}" if need else "no grid step fits"
+    return BudgetExceededError(f"{message}; {advice}", required_resolution=need)
+
+
+def fit_resolution(dim: int, budget: int, count) -> float | None:
+    """Finest step h = 1/N, no finer than the dimension default, whose scan
+    of ``count(N)`` net pairs fits the budget; None when even h = 1 does not."""
     n0 = int(round(1.0 / default_resolution(dim)))
     for n in range(n0, 0, -1):
-        if face_point_count(dim, n) ** 2 <= pair_budget:
+        if count(n) <= budget:
             return 1.0 / n
-    return 1.0
+    return None
 
 
-def fit_half_sphere_resolution(dim: int, pair_budget: int) -> float:
-    """Like ``fit_face_resolution`` for half-sphere pairs (2^(dim-1) orbits)."""
-    n0 = int(round(1.0 / default_resolution(dim)))
-    orbit = 2 ** (dim - 1)
-    for n in range(n0, 0, -1):
-        if (orbit * face_point_count(dim, n)) ** 2 <= pair_budget:
-            return 1.0 / n
-    return 1.0
-
-
-def fit_box_pair_resolution(dim: int, pair_budget: int) -> float:
-    """Finest h = 1/N with face(N) * (N+1)^dim <= pair_budget (sphere x box)."""
-    n0 = int(round(1.0 / default_resolution(dim)))
-    for n in range(n0, 0, -1):
-        if face_point_count(dim, n) * (n + 1) ** dim <= pair_budget:
-            return 1.0 / n
-    return 1.0
+def resolve_resolution(
+    what: str, dim: int, resolution: float | None, budget: int, count
+) -> float:
+    """The budget-fitted step when ``resolution`` is None, else the explicit
+    step; raises ``BudgetExceededError``, carrying the finest step that fits
+    (or None), when the scan of ``count(N)`` pairs would exceed the budget."""
+    if resolution is None:
+        h = fit_resolution(dim, budget, count)
+        if h is not None:
+            return h
+        n = 1
+    else:
+        n = steps_of(resolution)
+        if count(n) <= budget:
+            return float(resolution)
+    raise over_budget(f"{what}: resolution {resolution or 1.0} needs {count(n)} net "
+                      f"pairs, over the budget {budget}", fit_resolution(dim, budget, count))

@@ -1,13 +1,17 @@
-"""Pair scans over nets and derivative-free local refinement.
+"""The certified-extremum engine: net pair scans, projected local
+refinement, and ``certified_extremum``, the one pipeline joining them.
 
-The division of labor is fixed: certified lower/upper bounds come from the
-net scan alone (net extremum -/+ Lipschitz * mesh), while refinement only
-polishes the witness, improving the attainable side of the interval.  The
-objectives are max-type norms (Lipschitz, not smooth), so refinement is a
-projected coordinate search with step halving.  Single-coordinate moves can
-stall at edges of polyhedral objectives, so every sweep also tries all
-two-coordinate sign combinations across both arguments; the whole sweep is
-evaluated in one vectorized batch.
+Every constant and modulus of the package is an inf or sup of a Lipschitz
+objective ``f(X, Y)`` over point pairs.  Certified bounds come from the net
+scan alone (net value -/+ slack); refinement only polishes the witness,
+improving the attained side.  Objectives broadcast, so the scan (on
+``xb[:, None, :]`` against ``ys[None, :, :]``) and the refinement (on
+row-aligned candidates) call the same function.  They are max-type norms,
+Lipschitz but not smooth, so refinement is a coordinate search with step
+halving; every sweep also tries all two-coordinate sign combinations across
+both arguments, because single moves stall at edges of polyhedral objectives.
+A sweep is one vectorized batch, mapped back to the feasible set by a
+projection step (radial onto the sphere, or one supplied by the caller).
 """
 
 from __future__ import annotations
@@ -19,34 +23,46 @@ import numpy as np
 
 from .core import LatticeSpace
 
-__all__ = ["scan_pairs", "refine_pair_on_sphere", "refine_vector_on_sphere"]
+__all__ = [
+    "scan_pairs",
+    "sphere_projection",
+    "refine_pair_on_sphere",
+    "refine_vector_on_sphere",
+    "certified_extremum",
+]
+
+Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Projection = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 _EPS_IMPROVE = 1e-15
 _MAX_SWEEPS = 3000
+_STEP_MIN = 1e-11
 
 
 def scan_pairs(
     space: LatticeSpace,
     xs: np.ndarray,
     ys: np.ndarray,
-    values: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    values: Objective,
     maximize: bool = False,
     top_k: int = 1,
 ) -> tuple[float, list[tuple[float, int, int]]]:
-    """Extremum of ``values(X_block, Y)`` over all net pairs, plus top-k seeds.
+    """Extremum of ``values`` over all net pairs, plus the top-k seed pairs.
 
-    ``values`` maps a block of rows (b, n) and the full ``ys`` (m, n) to a
-    (b, m) matrix.  Blocks are visited in row order and ties are broken by
-    first occurrence, so with lexicographically sorted nets the reported
-    witness pair is the lexicographically smallest optimizer.
+    ``values(X, Y)`` is called on a block of rows ``X = xb[:, None, :]``
+    against ``Y = ys[None, :, :]`` and must broadcast to a (b, m) matrix.
+    Blocks are visited in row order and ties are broken by first occurrence,
+    so with lexicographically sorted nets the reported witness pair is the
+    lexicographically smallest optimizer.
     """
     m = ys.shape[0]
     sign = -1.0 if maximize else 1.0
     best = np.inf
     candidates: list[tuple[float, int, int]] = []
     block = max(1, min(256, int(5_000_000 // max(m, 1)) or 1))
+    yb = ys[None, :, :]
     for i0 in range(0, xs.shape[0], block):
-        vals = sign * np.asarray(values(xs[i0 : i0 + block], ys))
+        vals = sign * np.asarray(values(xs[i0 : i0 + block, None, :], yb))
         flat = vals.ravel()
         k = min(top_k, flat.size)
         idx = np.argpartition(flat, k - 1)[:k] if k < flat.size else np.arange(flat.size)
@@ -68,23 +84,17 @@ def scan_pairs(
 
 
 def _move_directions(
-    dim: int, coords_x: list[int], coords_y: list[int] | None
+    dim: int, coords_x: tuple[int, ...] | None, coords_y: tuple[int, ...] | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit move directions (DX, DY): all signed single-coordinate moves plus
-    all signed two-coordinate combinations (within and across arguments)."""
-    singles: list[tuple[int, int, float]] = []  # (side, coord, sign)
-    for i in coords_x:
-        singles.append((0, i, 1.0))
-        singles.append((0, i, -1.0))
-    if coords_y is not None:
-        for i in coords_y:
-            singles.append((1, i, 1.0))
-            singles.append((1, i, -1.0))
-    moves: list[list[tuple[int, int, float]]] = [[s] for s in singles]
-    for a, b in combinations(singles, 2):
-        if a[0] == b[0] and a[1] == b[1]:
-            continue  # +/- of the same coordinate cancel
-        moves.append([a, b])
+    all signed two-coordinate combinations (within and across arguments),
+    over the given coordinates of each argument (None: all of them)."""
+    singles = [(side, i, sgn) for side, coords in ((0, coords_x), (1, coords_y))
+               for i in (range(dim) if coords is None else coords)
+               for sgn in (1.0, -1.0)]  # (side, coord, sign)
+    # pairs exclude +/- of one coordinate, which cancel
+    moves = [[s] for s in singles] + [
+        [a, b] for a, b in combinations(singles, 2) if a[:2] != b[:2]]
     dx = np.zeros((len(moves), dim))
     dy = np.zeros((len(moves), dim))
     for k, mv in enumerate(moves):
@@ -93,28 +103,46 @@ def _move_directions(
     return dx, dy
 
 
+def sphere_projection(space: LatticeSpace, positive: bool) -> Projection:
+    """Radial projection of candidate pairs onto the unit sphere (clamped to
+    the positive cone first when ``positive``); near-zero rows are invalid."""
+
+    def project(xc: np.ndarray, yc: np.ndarray):
+        if positive:
+            np.maximum(xc, 0.0, out=xc)
+            np.maximum(yc, 0.0, out=yc)
+        nx = space.norm_values(xc)
+        ny = space.norm_values(yc)
+        valid = (nx > 1e-12) & (ny > 1e-12)
+        np.place(nx, ~valid, 1.0)
+        np.place(ny, ~valid, 1.0)
+        return xc / nx[:, None], yc / ny[:, None], valid
+
+    return project
+
+
 def refine_pair_on_sphere(
     space: LatticeSpace,
-    batch_values: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    batch_values: Objective,
     x0: np.ndarray,
     y0: np.ndarray,
-    positive: bool,
+    project: Projection,
     step0: float,
-    step_min: float = 1e-11,
+    step_min: float = _STEP_MIN,
     maximize: bool = False,
     support_x: tuple[int, ...] | None = None,
     support_y: tuple[int, ...] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Projected coordinate search over (positive or full) unit-sphere pairs.
+    """Projected coordinate search from (x0, y0) with step halving.
 
-    ``batch_values(X, Y)`` maps row-aligned candidate pairs to their
-    objective values.  ``support_*`` restricts the moving coordinates, which
-    preserves zero patterns in disjoint-support problems.
+    ``batch_values(X, Y)`` maps row-aligned candidate pairs to objective
+    values; ``project(XC, YC)`` maps the moved candidates back to the
+    feasible set and flags the valid rows (``sphere_projection`` for sphere
+    pairs).  ``support_*`` restricts the moving coordinates, which preserves
+    zero patterns in disjoint-support problems.
     """
     sign = -1.0 if maximize else 1.0
-    coords_x = list(support_x) if support_x is not None else list(range(space.dim))
-    coords_y = list(support_y) if support_y is not None else list(range(space.dim))
-    dx, dy = _move_directions(space.dim, coords_x, coords_y)
+    dx, dy = _move_directions(space.dim, support_x, support_y)
     x = x0.copy()
     y = y0.copy()
     fbest = sign * float(np.asarray(batch_values(x[None, :], y[None, :]))[0])
@@ -122,21 +150,10 @@ def refine_pair_on_sphere(
     for _ in range(_MAX_SWEEPS):
         if step < step_min:
             break
-        xc = x[None, :] + step * dx
-        yc = y[None, :] + step * dy
-        if positive:
-            np.maximum(xc, 0.0, out=xc)
-            np.maximum(yc, 0.0, out=yc)
-        nx = space.norm_values(xc)
-        ny = space.norm_values(yc)
-        valid = (nx > 1e-12) & (ny > 1e-12)
+        xu, yu, valid = project(x[None, :] + step * dx, y[None, :] + step * dy)
         if not np.any(valid):
             step *= 0.5
             continue
-        np.place(nx, ~valid, 1.0)
-        np.place(ny, ~valid, 1.0)
-        xu = xc / nx[:, None]
-        yu = yc / ny[:, None]
         vals = sign * np.asarray(batch_values(xu, yu))
         vals[~valid] = np.inf
         k = int(np.argmin(vals))
@@ -155,34 +172,56 @@ def refine_vector_on_sphere(
     x0: np.ndarray,
     positive: bool,
     step0: float,
-    step_min: float = 1e-11,
+    step_min: float = _STEP_MIN,
     maximize: bool = False,
 ) -> tuple[float, np.ndarray]:
-    """Single-vector variant of ``refine_pair_on_sphere``."""
+    """Single-vector variant of ``refine_pair_on_sphere`` (the second
+    argument never moves and the objective ignores it)."""
+    val, x, _ = refine_pair_on_sphere(
+        space, lambda X, Y: batch_values(X), x0, x0, sphere_projection(space, positive),
+        step0, step_min, maximize, support_y=())
+    return val, x
+
+
+def certified_extremum(
+    space: LatticeSpace,
+    objective: Objective,
+    blocks: list[tuple],
+    maximize: bool = False,
+    positive: bool = True,
+    top_k: int = 1,
+    refine: int = 1,
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
+    """Certified inf (sup when ``maximize``) of ``objective`` over unit-sphere
+    pairs, from net scans of the blocks and refinement of the best seeds.
+
+    Each block ``(xs, ys, slack, step0, support_x, support_y)`` pairs two
+    nets whose covered regions are within ``slack`` of the block's extremum
+    (sum of per-argument Lipschitz factor times mesh).  The ``top_k`` best
+    pairs of every block become seeds; the ``refine`` best seeds overall are
+    refined from step ``step0`` over the block's supports.  Returns the
+    certified bound ``min (max) over blocks of net value -/+ slack``, the
+    best attained value (net or refined), and its witness pair.
+    """
     sign = -1.0 if maximize else 1.0
-    dx, _ = _move_directions(space.dim, list(range(space.dim)), None)
-    x = x0.copy()
-    fbest = sign * float(np.asarray(batch_values(x[None, :]))[0])
-    step = float(step0)
-    for _ in range(_MAX_SWEEPS):
-        if step < step_min:
-            break
-        xc = x[None, :] + step * dx
-        if positive:
-            np.maximum(xc, 0.0, out=xc)
-        nx = space.norm_values(xc)
-        valid = nx > 1e-12
-        if not np.any(valid):
-            step *= 0.5
-            continue
-        np.place(nx, ~valid, 1.0)
-        xu = xc / nx[:, None]
-        vals = sign * np.asarray(batch_values(xu))
-        vals[~valid] = np.inf
-        k = int(np.argmin(vals))
-        if vals[k] < fbest - _EPS_IMPROVE:
-            fbest = float(vals[k])
-            x = xu[k]
-        else:
-            step *= 0.5
-    return sign * fbest, x
+    bound = np.inf  # signed, so both senses minimize
+    best_net = np.inf
+    seeds: list[tuple[float, int, int, int]] = []
+    for b, (xs, ys, slack, _, _, _) in enumerate(blocks):
+        val, top = scan_pairs(space, xs, ys, objective, maximize=maximize, top_k=top_k)
+        bound = min(bound, sign * val - slack)
+        best_net = min(best_net, sign * val)
+        seeds.extend((sign * v, b, i, j) for v, i, j in top)
+    seeds.sort(key=lambda s: s[0])
+    project = sphere_projection(space, positive)
+    best = np.inf
+    wx = wy = None
+    for _, b, i, j in seeds[:refine]:
+        xs, ys, _, step0, support_x, support_y = blocks[b]
+        val, rx, ry = refine_pair_on_sphere(
+            space, objective, xs[i], ys[j], project, step0, maximize=maximize,
+            support_x=support_x, support_y=support_y,
+        )
+        if sign * val < best:
+            best, wx, wy = sign * val, rx, ry
+    return sign * bound, sign * min(best, best_net), (wx, wy)

@@ -81,6 +81,29 @@ def test_malformed_spec_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "not a lattice norm" in err
 
+    # wrongly typed fields are spec errors, never tracebacks or silent coercions
+    l2_1 = {"type": "lp", "p": 2}
+    for i, norm in enumerate([
+        {"type": "blocksum", "p": 1, "blocks": [{"dim": "x", "norm": l2_1}, {"dim": 1, "norm": l2_1}]},
+        {"type": "blocksum", "p": 1, "blocks": [{"dim": 1.5, "norm": l2_1}, {"dim": 1, "norm": l2_1}]},
+        {"type": "lp", "p": 2, "weights": ["a", 1]},
+        {"type": "scale", "c": "x", "term": {"type": "lp", "p": 2}},
+        {"type": "lp", "p": True},
+        {"type": "formmax", "rows": [[1, 0], [0]]},
+    ]):
+        bad = write_spec(tmp_path, {"dim": 2, "norm": norm}, f"typed{i}.json")
+        code, _, err = run_cli(["constants", "--spec", bad], capsys)
+        assert code == 2, norm
+        assert err.startswith("error:"), norm
+
+
+def test_tol_is_an_embed_option_only(tmp_path, capsys):
+    spec = write_spec(tmp_path, L1_3_SPEC)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["constants", "--spec", spec, "--tol", "0.1"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+
 
 def test_budget_exceeded_exit_code(tmp_path, capsys):
     spec = write_spec(tmp_path, L1_3_SPEC)

@@ -23,11 +23,9 @@ from latconst import (
     max_l2_linf_space,
     max_linf_l1_space,
     meet,
-    norm_eval,
     norm_from_dict,
     permute_norm,
     rescale_coordinates,
-    sandwich_constants,
     space_from_dict,
     validate_lattice_norm,
 )
@@ -52,7 +50,7 @@ def test_nonfinite_vectors_rejected():
     with pytest.raises(ValueError):
         absval([1.0, float("nan")])
     with pytest.raises(ValueError):
-        norm_eval(lp_space(2, 2), [float("inf"), 0.0])
+        lp_space(2, 2).norm_value([float("inf"), 0.0])
 
 
 def test_birkhoff_identity_exact():
@@ -65,8 +63,8 @@ def test_birkhoff_identity_exact():
 
 def test_gap3_norm_values():
     space = beta_gap_space()
-    assert norm_eval(space, [0.8, 0.0, 0.4]) == pytest.approx(1.0, abs=1e-12)
-    assert norm_eval(space, [0.8, 0.8, 0.8]) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert space.norm_value([0.8, 0.0, 0.4]) == pytest.approx(1.0, abs=1e-12)
+    assert space.norm_value([0.8, 0.8, 0.8]) == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
 def test_gap3_norm_matches_hand_evaluation():
@@ -79,7 +77,7 @@ def test_gap3_norm_matches_hand_evaluation():
 
 
 def test_l2_norm_value():
-    assert norm_eval(lp_space(2, 2), [3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
+    assert lp_space(2, 2).norm_value([3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_norm_eval_is_abs_first_bitwise():
@@ -161,12 +159,13 @@ def test_validate_gap3_large_sample():
 
 
 def test_sandwich_constants_examples():
-    lo, hi = sandwich_constants(lp_space(3, 1))
+    # the basis norms b_i = ||e_i|| weight both sides of the sandwich
+    lo = hi = lp_space(3, 1).basis_norms
     assert np.allclose(lo, 1.0) and np.allclose(hi, 1.0)
-    lo, _ = sandwich_constants(beta_gap_space())
+    lo = beta_gap_space().basis_norms
     assert np.allclose(lo, [1.0, 1.0, 0.5], atol=1e-12)
     space = linf_space(2)
-    lo, hi = sandwich_constants(space)
+    lo = hi = space.basis_norms
     assert np.allclose(lo, [1.0, 1.0])
     # upper bound is slack at (1,1): ||(1,1)||_inf = 1 <= 2
     assert space.norm_value([1.0, 1.0]) == 1.0 <= float(np.sum(hi))
@@ -177,7 +176,7 @@ def test_sandwich_bound_random_property():
     spaces = [lp_space(3, 1.5), linf_space(3), beta_gap_space(),
               max_linf_l1_space(), LatticeSpace(3, BlockSum(2, [lp(2, 1), lp(1, 2)]))]
     for space in spaces:
-        lo, _ = space.sandwich
+        lo = space.basis_norms
         pts = rng.standard_normal((10_000, space.dim)) * 3.0
         norms = space.norm_values(pts)
         lower = np.max(np.abs(pts) * lo[None, :], axis=1)

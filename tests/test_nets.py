@@ -3,18 +3,32 @@
 import numpy as np
 import pytest
 
+import latconst.constants
 from latconst import (
     BudgetExceededError,
     UnsupportedDimensionError,
+    alpha,
+    beta,
     beta_gap_space,
+    delta_m,
     half_sphere_net,
     lambda_plus,
     lp_space,
     positive_face_net,
     positive_sphere_net,
+    sigma,
     support_pairs,
 )
 from latconst.nets import box_grid, face_point_count, grid_values
+
+# every budgeted optimizer, as (name, call with resolution and pair budget)
+BUDGETED = [
+    ("lambda_plus", lambda sp, h, b: lambda_plus(sp, h, b)),
+    ("beta", lambda sp, h, b: beta(sp, h, b)),
+    ("alpha", lambda sp, h, b: alpha(sp, h, b)),
+    ("sigma", lambda sp, h, b: sigma(sp, 0.5, h, b)),
+    ("delta_m", lambda sp, h, b: delta_m(sp, 0.5, h, b)),
+]
 
 
 def _contains_row(points: np.ndarray, row: np.ndarray, tol: float = 1e-12) -> bool:
@@ -108,6 +122,32 @@ def test_pair_budget_error_reports_required_resolution():
         lambda_plus(lp_space(3, 2), resolution=0.002)
     assert err.value.required_resolution is not None
     assert err.value.required_resolution > 0.002
+    for name, run in BUDGETED:
+        with pytest.raises(BudgetExceededError) as err:
+            run(lp_space(3, 2), 0.01, 1000)
+        need = err.value.required_resolution
+        assert need is not None and need > 0.01, name
+        if name != "alpha":  # alpha's cross-check needs its own, coarser step
+            run(lp_space(3, 2), need, 1000)
+
+
+def test_budget_floor_overrun_raises():
+    # even the coarsest grid (step 1) scans 7^2 = 49 face pairs in R^3
+    for name in ("lambda_plus", "sigma", "delta_m"):
+        run = dict(BUDGETED)[name]
+        with pytest.raises(BudgetExceededError) as err:
+            run(lp_space(3, 2), None, 10)
+        assert err.value.required_resolution is None, name
+
+
+def test_disjoint_budget_checked_before_subnets(monkeypatch):
+    def no_nets(*args, **kwargs):
+        raise AssertionError("a sub-net was built before the budget check")
+
+    monkeypatch.setattr(latconst.constants, "support_face_net", no_nets)
+    for run in (beta, alpha):
+        with pytest.raises(BudgetExceededError):
+            run(lp_space(3, 2), 0.01, 1000)
 
 
 def test_support_pairs_enumeration():
