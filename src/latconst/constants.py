@@ -158,6 +158,14 @@ def lambda_plus(
 # ---------------------------------------------------------------------------
 
 
+def _support_workload(dim: int):
+    """Pairs scanned by the support-pair blocks, as a function of ``n_of(k)``,
+    the number of grid steps at support size k."""
+    sizes = Counter((len(a), len(b)) for a, b in support_pairs(dim))
+    return lambda n_of: sum(c * face_point_count(ka, n_of(ka)) * face_point_count(kb, n_of(kb))
+                            for (ka, kb), c in sizes.items())
+
+
 def _disjoint_support_extremum(
     space: LatticeSpace,
     kind: str,
@@ -176,18 +184,13 @@ def _disjoint_support_extremum(
     if space.dim < 2:
         raise UnsupportedDimensionError(f"{kind} requires dimension >= 2")
     pairs = support_pairs(space.dim)
-    sizes = Counter((len(a), len(b)) for a, b in pairs)
     per_pair = max(1, pair_budget // len(pairs))
     steps = {
         k: float(resolution) if resolution is not None
         else fit_resolution(k, per_pair, face_pairs(k)) or 1.0
         for k in range(1, space.dim)
     }
-
-    def workload(n_of) -> int:  # pairs scanned with n_of(k) grid steps at support size k
-        return sum(c * face_point_count(ka, n_of(ka)) * face_point_count(kb, n_of(kb))
-                   for (ka, kb), c in sizes.items())
-
+    workload = _support_workload(space.dim)
     scanned = workload(lambda k: steps_of(steps[k]))
     if scanned > pair_budget:
         raise over_budget(
@@ -232,8 +235,14 @@ def alpha(
     """
     if space.dim == 1:
         return _exact("alpha", 1.0, space)
-    # the disjoint scan and the cross-check share the per-constant budget
+    # the disjoint scan and the cross-check share the per-constant budget; the
+    # cross-check is checked first, and an explicit step serves both scans,
+    # so its budget error advises a step at which both fit
     pair_budget //= 2
+    cross, disjoint = face_pairs(space.dim), _support_workload(space.dim)
+    both = lambda n: max(cross(n), disjoint(lambda k: n))
+    resolve_resolution("alpha", space.dim, resolution, pair_budget,
+                       cross if resolution is None else both)
     est = _disjoint_support_extremum(space, "alpha", True, resolution, pair_budget)
     *_, certified, attained, _ = net_pair_extremum(
         space, "alpha", lambda X, Y: space.norm_values(X - Y), 2.0, resolution,

@@ -166,14 +166,11 @@ def diagonal_isomorphism(
         pts = net.points
         vals = dst.norm_values(pts)
         seeds = np.argsort(vals)[::-1][:2]
-        best = float(vals[seeds[0]])
-        for i in seeds:
-            val, _ = refine_vector_on_sphere(
-                src, lambda V: dst.norm_values(V), pts[int(i)],
-                positive=True, step0=2 * h, maximize=True,
-            )
-            best = max(best, val)
-        return best
+        val, _ = refine_vector_on_sphere(
+            src, lambda V: dst.norm_values(V), pts[seeds],
+            positive=True, step0=2 * h, maximize=True,
+        )
+        return max(float(vals[seeds[0]]), val)
 
     # identity map distortion between the normings: sup_{S_X} ||x||_Y * sup_{S_Y} ||y||_X
     return new_space, op_norm(space, new_space) * op_norm(new_space, space)

@@ -234,31 +234,34 @@ def _constraint_projection(space: LatticeSpace, eps: float):
 def _refine_delta(
     space: LatticeSpace,
     eps: float,
-    x0: np.ndarray,
-    t0: np.ndarray,
+    seeds: list[tuple[np.ndarray, np.ndarray]],
     step0: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Refinement over (x on S+, t in the box) with the constraint kept
-    active by ``_constraint_projection``."""
-    t = _repair_multiplier(space, x0, t0.copy(), eps)
-    assert t is not None, "refinement must start from a feasible point"
-    fbest, x, t = refine_pair_on_sphere(
-        space, lambda X, T: 1.0 - space.norm_values((1.0 - T) * X), x0, t,
+    """Lockstep refinement over (x on S+, t in the box) from the seed pairs
+    (x, t), with the constraint kept active by ``_constraint_projection``;
+    returns the best refined (value, x, t), the earliest seed on ties."""
+    starts = [_repair_multiplier(space, x, t, eps) for x, t in seeds]
+    assert all(t is not None for t in starts), "refinement must start from a feasible point"
+    *_, (vals, x, t) = refine_pair_on_sphere(
+        space, lambda X, T: 1.0 - space.norm_values((1.0 - T) * X),
+        np.array([x for x, _ in seeds]), np.array(starts),
         _constraint_projection(space, eps), step0)
     # the search tolerates ~1e-12 constraint slack, which (through square-root
     # geometry) can admit points ~1e-6 outside the true feasible set; push the
-    # final multiplier back to strict feasibility along the segment toward 1
-    if float(space.norm_values(t * x)) < eps - 1e-14:
-        lo, hi = 0.0, 1.0
+    # final multipliers back to strict feasibility along the segment toward 1
+    short = space.norm_values(t * x) < eps - 1e-14
+    if np.any(short):
+        xs, ts = x[short], t[short]
+        lo, hi = np.zeros(len(xs)), np.ones(len(xs))
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if float(space.norm_values((t + mid * (1.0 - t)) * x)) >= eps - 1e-14:
-                hi = mid
-            else:
-                lo = mid
-        t = t + hi * (1.0 - t)
-        fbest = 1.0 - float(space.norm_values((1.0 - t) * x))
-    return fbest, x, t
+            ok = space.norm_values((ts + mid[:, None] * (1.0 - ts)) * xs) >= eps - 1e-14
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, mid)
+        t[short] = ts = ts + hi[:, None] * (1.0 - ts)
+        vals[short] = 1.0 - space.norm_values((1.0 - ts) * xs)
+    k = int(np.argmin(vals))
+    return float(vals[k]), x[k], t[k]
 
 
 def delta_m(
@@ -284,7 +287,6 @@ def delta_m(
     m = tgrid.shape[0]
     relaxed_min = math.inf
     strict_candidates: list[tuple[float, int, int]] = []
-    strict_min = math.inf
     block = max(1, int(2_000_000 // max(m, 1)) or 1)
     one_minus_t = 1.0 - tgrid
     for i0 in range(0, pts.shape[0], block):
@@ -304,7 +306,6 @@ def delta_m(
                 v = float(flat[j])
                 if math.isfinite(v):
                     strict_candidates.append((v, i0 + int(j) // m, int(j) % m))
-                    strict_min = min(strict_min, v)
     strict_candidates.sort()
     seeds: list[tuple[float, np.ndarray, np.ndarray]] = [
         (v, pts[i], tgrid[j]) for v, i, j in strict_candidates[:_TOP_K]
@@ -324,16 +325,10 @@ def delta_m(
         ys = pts[ok] * mask[None, :] * scale[:, None]
         vals = 1.0 - space.norm_values(pts[ok] - ys)
         k = int(np.argmin(vals))
-        xk = pts[ok][k]
-        strict_min = min(strict_min, float(vals[k]))
-        seeds.append((float(vals[k]), xk, mask * scale[k]))
+        seeds.append((float(vals[k]), pts[ok][k], mask * scale[k]))
     seeds.sort(key=lambda s: s[0])
-    best = math.inf
-    wx = wt = None
-    for v, x_seed, t_seed in seeds[: 2 * _TOP_K]:
-        val, rx, rt = _refine_delta(space, eps, x_seed, t_seed, step0=2 * resolution)
-        if val < best:
-            best, wx, wt = val, rx, rt
+    best, wx, wt = _refine_delta(
+        space, eps, [(x, t) for _, x, t in seeds[: 2 * _TOP_K]], step0=2 * resolution)
     # only refined witnesses count: raw net candidates may sit a hair outside
     # the feasible set (the scan mask carries the same 1e-12 slack)
     est = max(0.0, min(best, 1.0))

@@ -10,14 +10,16 @@ row-aligned candidates) call the same function.  They are max-type norms,
 Lipschitz but not smooth, so refinement is a coordinate search with step
 halving; every sweep also tries all two-coordinate sign combinations across
 both arguments, because single moves stall at edges of polyhedral objectives.
-A sweep is one vectorized batch, mapped back to the feasible set by a
-projection step (radial onto the sphere, or one supplied by the caller).
+All seeds are refined in lockstep: a sweep moves every seed still running,
+as one vectorized batch mapped back to the feasible set by a projection step
+(radial onto the sphere, or one supplied by the caller), while each seed
+keeps its own best value, step and sweep cap.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
 
 Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Projection = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+Support = tuple[int, ...] | None | list[tuple[int, ...] | None]
 
 _EPS_IMPROVE = 1e-15
 _MAX_SWEEPS = 3000
@@ -83,14 +86,13 @@ def scan_pairs(
     return sign * best, top
 
 
-def _move_directions(
-    dim: int, coords_x: tuple[int, ...] | None, coords_y: tuple[int, ...] | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _move_directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit move directions (DX, DY): all signed single-coordinate moves plus
-    all signed two-coordinate combinations (within and across arguments),
-    over the given coordinates of each argument (None: all of them)."""
-    singles = [(side, i, sgn) for side, coords in ((0, coords_x), (1, coords_y))
-               for i in (range(dim) if coords is None else coords)
+    all signed two-coordinate combinations (within and across arguments).
+
+    Restricting the moves to coordinate supports keeps a subsequence of this
+    list in the same order, so a support is applied as a mask over it."""
+    singles = [(side, i, sgn) for side in (0, 1) for i in range(dim)
                for sgn in (1.0, -1.0)]  # (side, coord, sign)
     # pairs exclude +/- of one coordinate, which cancel
     moves = [[s] for s in singles] + [
@@ -101,6 +103,18 @@ def _move_directions(
         for side, coord, sgn in mv:
             (dx if side == 0 else dy)[k, coord] += sgn
     return dx, dy
+
+
+def _move_mask(moved: np.ndarray, support: Support, starts: int) -> np.ndarray:
+    """(starts, moves) mask of the moves that stay inside each start's
+    support, given which coordinates each move changes (``moved``, of shape
+    (moves, dim)); ``support`` is None (all coordinates), one tuple of
+    coordinates for every start, or a list with one entry per start."""
+    per_start = support if isinstance(support, list) else [support] * starts
+    inside = np.zeros((starts, moved.shape[1]), dtype=bool)
+    for s, coords in enumerate(per_start):
+        inside[s, slice(None) if coords is None else list(coords)] = True
+    return np.all(moved <= inside[:, None, :], axis=2)
 
 
 def sphere_projection(space: LatticeSpace, positive: bool) -> Projection:
@@ -127,43 +141,65 @@ def refine_pair_on_sphere(
     x0: np.ndarray,
     y0: np.ndarray,
     project: Projection,
-    step0: float,
+    step0: float | Sequence[float],
     step_min: float = _STEP_MIN,
     maximize: bool = False,
-    support_x: tuple[int, ...] | None = None,
-    support_y: tuple[int, ...] | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Projected coordinate search from (x0, y0) with step halving.
+    support_x: Support = None,
+    support_y: Support = None,
+) -> tuple[float, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Projected coordinate search with step halving, from S starts in lockstep.
 
-    ``batch_values(X, Y)`` maps row-aligned candidate pairs to objective
-    values; ``project(XC, YC)`` maps the moved candidates back to the
-    feasible set and flags the valid rows (``sphere_projection`` for sphere
-    pairs).  ``support_*`` restricts the moving coordinates, which preserves
-    zero patterns in disjoint-support problems.
+    ``x0``/``y0`` are one start (dim,) or S starts (S, dim); ``step0`` and
+    the supports ``support_*`` (which restrict the moving coordinates and so
+    preserve zero patterns in disjoint-support problems) are shared or given
+    per start (see ``_move_mask``).  ``batch_values(X, Y)`` maps
+    row-aligned candidate pairs to objective values; ``project(XC, YC)`` maps
+    the moved candidates back to the feasible set and flags the valid rows
+    (``sphere_projection`` for sphere pairs).
+
+    Each sweep moves every start whose step is still at least ``step_min``,
+    through one projection and one objective call on all their candidates.
+    A start keeps its own best value and step, and stops after
+    ``_MAX_SWEEPS`` sweeps, so its result is the one a single-start call
+    gives (row for row, whenever the norm evaluates rows independently).
+
+    Returns the value and witness pair of the best start (the earliest one
+    on ties), then the per-start values and witnesses.
     """
     sign = -1.0 if maximize else 1.0
-    dx, dy = _move_directions(space.dim, support_x, support_y)
-    x = x0.copy()
-    y = y0.copy()
-    fbest = sign * float(np.asarray(batch_values(x[None, :], y[None, :]))[0])
-    step = float(step0)
+    x = np.array(np.atleast_2d(x0), dtype=float)
+    y = np.array(np.atleast_2d(y0), dtype=float)
+    starts, dim = x.shape
+    step = np.array(np.broadcast_to(np.asarray(step0, dtype=float), (starts,)))
+    dx, dy = _move_directions(dim)
+    allowed = _move_mask(dx != 0, support_x, starts) & _move_mask(dy != 0, support_y, starts)
+    fbest = sign * np.asarray(batch_values(x, y), dtype=float)
+    moves = dx.shape[0]
     for _ in range(_MAX_SWEEPS):
-        if step < step_min:
+        active = np.flatnonzero(step >= step_min)
+        if active.size == 0:
             break
-        xu, yu, valid = project(x[None, :] + step * dx, y[None, :] + step * dy)
-        if not np.any(valid):
-            step *= 0.5
-            continue
-        vals = sign * np.asarray(batch_values(xu, yu))
-        vals[~valid] = np.inf
-        k = int(np.argmin(vals))
-        if vals[k] < fbest - _EPS_IMPROVE:
-            fbest = float(vals[k])
-            x = xu[k]
-            y = yu[k]
-        else:
-            step *= 0.5
-    return sign * fbest, x, y
+        h = step[active, None, None]
+        xu, yu, valid = project((x[active, None, :] + h * dx).reshape(-1, dim),
+                                (y[active, None, :] + h * dy).reshape(-1, dim))
+        # disallowed and invalid moves read +inf, so the row-wise argmin is
+        # the first best move of each start's own move list
+        valid &= allowed[active].ravel()
+        vals = np.full(valid.shape, np.inf)
+        if np.any(valid):
+            vals[valid] = (sign * np.asarray(batch_values(xu, yu)))[valid]
+        vals = vals.reshape(active.size, moves)
+        pick = np.argmin(vals, axis=1)
+        picked = vals[np.arange(active.size), pick]
+        won = picked < fbest[active] - _EPS_IMPROVE
+        step[active[~won]] *= 0.5
+        src = np.flatnonzero(won) * moves + pick[won]
+        dst = active[won]
+        fbest[dst] = picked[won]
+        x[dst] = xu[src]
+        y[dst] = yu[src]
+    b = int(np.argmin(fbest))
+    return sign * float(fbest[b]), x[b], y[b], (sign * fbest, x, y)
 
 
 def refine_vector_on_sphere(
@@ -171,13 +207,14 @@ def refine_vector_on_sphere(
     batch_values: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     positive: bool,
-    step0: float,
+    step0: float | Sequence[float],
     step_min: float = _STEP_MIN,
     maximize: bool = False,
 ) -> tuple[float, np.ndarray]:
     """Single-vector variant of ``refine_pair_on_sphere`` (the second
-    argument never moves and the objective ignores it)."""
-    val, x, _ = refine_pair_on_sphere(
+    argument never moves and the objective ignores it); ``x0`` may hold S
+    starts, and the best one is returned."""
+    val, x, *_ = refine_pair_on_sphere(
         space, lambda X, Y: batch_values(X), x0, x0, sphere_projection(space, positive),
         step0, step_min, maximize, support_y=())
     return val, x
@@ -213,15 +250,13 @@ def certified_extremum(
         best_net = min(best_net, sign * val)
         seeds.extend((sign * v, b, i, j) for v, i, j in top)
     seeds.sort(key=lambda s: s[0])
-    project = sphere_projection(space, positive)
-    best = np.inf
-    wx = wy = None
+    starts = []
     for _, b, i, j in seeds[:refine]:
         xs, ys, _, step0, support_x, support_y = blocks[b]
-        val, rx, ry = refine_pair_on_sphere(
-            space, objective, xs[i], ys[j], project, step0, maximize=maximize,
-            support_x=support_x, support_y=support_y,
-        )
-        if sign * val < best:
-            best, wx, wy = sign * val, rx, ry
-    return sign * bound, sign * min(best, best_net), (wx, wy)
+        starts.append((xs[i], ys[j], step0, support_x, support_y))
+    x0, y0, step0, support_x, support_y = zip(*starts)
+    best, wx, wy, _ = refine_pair_on_sphere(
+        space, objective, np.array(x0), np.array(y0), sphere_projection(space, positive),
+        step0, maximize=maximize, support_x=list(support_x), support_y=list(support_y),
+    )
+    return sign * bound, sign * min(sign * best, best_net), (wx, wy)

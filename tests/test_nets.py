@@ -127,8 +127,7 @@ def test_pair_budget_error_reports_required_resolution():
             run(lp_space(3, 2), 0.01, 1000)
         need = err.value.required_resolution
         assert need is not None and need > 0.01, name
-        if name != "alpha":  # alpha's cross-check needs its own, coarser step
-            run(lp_space(3, 2), need, 1000)
+        run(lp_space(3, 2), need, 1000)
 
 
 def test_budget_floor_overrun_raises():
