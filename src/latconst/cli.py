@@ -1,10 +1,13 @@
 """Command line entry point.
 
-    latconst constants --spec FILE [--h H] [--seed S] [--format json] [--out F]
+    latconst constants --spec FILE
     latconst moduli    --spec FILE [--eps-grid a:b:step] [--format json|csv]
-    latconst verify    (--spec FILE | --builtin-suite) [--eps-grid ...]
+    latconst verify    (--spec FILE | --builtin-suite) [--eps-grid a:b:step]
     latconst embed     --spec FILE [--tol T]
 
+Every command also takes --h H, --seed S, --out F and --pair-budget N (per
+constant, or per modulus grid point for moduli); an option is registered
+only on the commands that read it.
 Machine output goes to stdout (or --out); human diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 malformed spec, 3 budget
 exceeded, 4 no embedding pair with small enough defect.  Output is
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .moduli import DEFAULT_MODULI_BUDGET, delta_curve, sigma_curve
 from .nets import DEFAULT_PAIR_BUDGET
 from .verify import run_builtin_suite, verify_space
 
-__all__ = ["RunConfig", "main", "cmd_constants", "cmd_moduli", "cmd_verify", "cmd_embed"]
+__all__ = ["main", "cmd_constants", "cmd_moduli", "cmd_verify", "cmd_embed"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -46,28 +48,15 @@ EXIT_BUDGET = 3
 EXIT_NO_EMBEDDING = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    spec_path: str | None = None
-    builtin_suite: bool = False
-    resolution: float | None = None
-    tolerance: float = 5e-3
-    eps_grid: list[float] = field(default_factory=lambda: [k * 0.05 for k in range(21)])
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-    pair_budget: int = DEFAULT_PAIR_BUDGET
-    moduli_budget: int = DEFAULT_MODULI_BUDGET
-
-
 def _parse_eps_grid(text: str) -> list[float]:
     try:
         a, b, step = (float(part) for part in text.split(":"))
     except ValueError:
-        raise ValueError(f"--eps-grid expects a:b:step, got {text!r}") from None
+        raise InvalidNormError(f"--eps-grid expects a:b:step, got {text!r}") from None
     if step <= 0 or b < a:
-        raise ValueError(f"--eps-grid needs step > 0 and b >= a, got {text!r}")
+        raise InvalidNormError(f"--eps-grid needs step > 0 and b >= a, got {text!r}")
+    if a < 0.0 or b > 1.0:
+        raise InvalidNormError("eps grid must lie inside [0, 1]")
     out = []
     k = 0
     while a + k * step <= b + 1e-12:
@@ -76,18 +65,18 @@ def _parse_eps_grid(text: str) -> list[float]:
     return out
 
 
-def _load_space(config: RunConfig) -> LatticeSpace:
-    if config.spec_path is None:
+def _load_space(args: argparse.Namespace) -> LatticeSpace:
+    if args.spec is None:
         raise InvalidNormError("a --spec file is required for this command")
     try:
-        with open(config.spec_path) as fh:
+        with open(args.spec) as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise InvalidNormError(f"cannot read spec file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidNormError(f"spec file is not valid JSON: {exc}") from None
     space = space_from_dict(raw)
-    report = validate_lattice_norm(space, samples=500, seed=config.seed)
+    report = validate_lattice_norm(space, samples=500, seed=args.seed)
     if not report.passed:
         raise InvalidNormError(
             f"the supplied expression is not a lattice norm: "
@@ -96,9 +85,9 @@ def _load_space(config: RunConfig) -> LatticeSpace:
     return space
 
 
-def _emit(config: RunConfig, payload: str) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
+def _emit(args: argparse.Namespace, payload: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -114,9 +103,9 @@ def _json_report(space_desc, results: dict, certificates: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_constants(config: RunConfig) -> int:
-    space = _load_space(config)
-    battery = constant_battery(space, config.resolution, config.pair_budget)
+def cmd_constants(args: argparse.Namespace) -> int:
+    space = _load_space(args)
+    battery = constant_battery(space, args.resolution, args.pair_budget)
     results = {name: est.to_dict() for name, est in battery.constants.items()}
     results["chain"] = battery.chain
     results["chain_ok"] = battery.chain_ok
@@ -126,23 +115,21 @@ def cmd_constants(config: RunConfig) -> int:
                **{k: v for k, v in est.info.items() if not isinstance(v, np.ndarray)}}
         for name, est in battery.constants.items()
     }
-    _emit(config, _json_report(space.to_dict(), results, certificates))
+    _emit(args, _json_report(space.to_dict(), results, certificates))
     return EXIT_OK
 
 
-def cmd_moduli(config: RunConfig) -> int:
-    space = _load_space(config)
-    grid = config.eps_grid
-    if any(e < 0.0 or e > 1.0 for e in grid):
-        raise InvalidNormError("eps grid must lie inside [0, 1]")
-    sig = sigma_curve(space, grid, config.resolution, config.moduli_budget)
-    dlt = delta_curve(space, grid, config.resolution, config.moduli_budget)
-    if config.fmt == "csv":
+def cmd_moduli(args: argparse.Namespace) -> int:
+    grid = _parse_eps_grid(args.eps_grid)
+    space = _load_space(args)
+    sig = sigma_curve(space, grid, args.resolution, args.pair_budget)
+    dlt = delta_curve(space, grid, args.resolution, args.pair_budget)
+    if args.format == "csv":
         lines = ["eps,sigma_lower,sigma_estimate,sigma_upper,delta_lower,delta_estimate,delta_upper"]
         for (e, slo, sest, sup), (_, dlo, dest, dup) in zip(sig.rows(), dlt.rows()):
             nums = (e, slo, sest, sup, dlo, dest, dup)
             lines.append(",".join(f"{v:.12g}" for v in nums))
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
     rows = [
         {"eps": e,
@@ -154,34 +141,31 @@ def cmd_moduli(config: RunConfig) -> int:
         "sigma_mesh_norms": [v.mesh_norm for v in sig.values],
         "delta_mesh_norms": [v.mesh_norm for v in dlt.values],
     }
-    _emit(config, _json_report(space.to_dict(), {"curve": rows}, certificates))
+    _emit(args, _json_report(space.to_dict(), {"curve": rows}, certificates))
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if config.builtin_suite:
-        report = run_builtin_suite(config.pair_budget, config.moduli_budget, config.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    grid = _parse_eps_grid(args.eps_grid)
+    if args.builtin_suite:
+        report = run_builtin_suite(args.pair_budget, seed=args.seed)
         space_desc = {"builtin_suite": True}
     else:
-        space = _load_space(config)
-        report = verify_space(space, config.eps_grid, config.resolution,
-                              config.pair_budget, config.moduli_budget)
+        space = _load_space(args)
+        report = verify_space(space, grid, args.resolution, args.pair_budget)
         space_desc = space.to_dict()
     for line in report.lines():
         print(line, file=sys.stderr)
-    results = report.to_dict()
-    _emit(config, _json_report(space_desc, results, {"seed": config.seed}))
+    _emit(args, _json_report(space_desc, report.to_dict(), {"seed": args.seed}))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_embed(config: RunConfig) -> int:
-    space = _load_space(config)
+def cmd_embed(args: argparse.Namespace) -> int:
+    space = _load_space(args)
     report = find_embedding(
-        space, config.resolution, defect_cap=1.0 - config.tolerance,
-        pair_budget=config.pair_budget,
-    )
-    certificates = {"defect_cap": 1.0 - config.tolerance, "samples": report.samples}
-    _emit(config, _json_report(space.to_dict(), report.to_dict(), certificates))
+        space, args.resolution, defect_cap=1.0 - args.tol, pair_budget=args.pair_budget)
+    certificates = {"defect_cap": 1.0 - args.tol, "samples": report.samples}
+    _emit(args, _json_report(space.to_dict(), report.to_dict(), certificates))
     return EXIT_OK
 
 
@@ -202,40 +186,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", help="JSON norm spec file {dim, norm}")
         p.add_argument("--h", type=float, default=None, dest="resolution",
                        help="coordinate grid step (default: budget-fitted per dimension)")
-        p.add_argument("--eps-grid", type=str, default="0:1:0.05",
-                       help="modulus grid as a:b:step")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write machine output to this file")
-        p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET,
-                       help="max net-pair evaluations per constant")
+        if name == "moduli":
+            p.add_argument("--pair-budget", type=int, default=DEFAULT_MODULI_BUDGET,
+                           help="max net-pair evaluations per modulus grid point")
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        else:
+            p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET,
+                           help="max net-pair evaluations per constant")
+        if name in ("moduli", "verify"):
+            p.add_argument("--eps-grid", type=str, default="0:1:0.05",
+                           help="modulus grid as a:b:step")
         if name == "verify":
             p.add_argument("--builtin-suite", action="store_true",
                            help="run the self-contained catalog suite")
         if name == "embed":
-            p.add_argument("--tol", type=float, default=RunConfig.tolerance,
+            p.add_argument("--tol", type=float, default=5e-3,
                            help="the source pair's defect must stay below 1 - TOL")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = RunConfig(
-            command=args.command,
-            spec_path=args.spec,
-            builtin_suite=getattr(args, "builtin_suite", False),
-            resolution=args.resolution,
-            tolerance=getattr(args, "tol", RunConfig.tolerance),
-            eps_grid=_parse_eps_grid(args.eps_grid),
-            seed=args.seed,
-            fmt=args.format,
-            out=args.out,
-            pair_budget=args.pair_budget,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
     handlers = {
         "constants": cmd_constants,
         "moduli": cmd_moduli,
@@ -243,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         "embed": cmd_embed,
     }
     try:
-        return handlers[config.command](config)
+        return handlers[args.command](args)
     except (InvalidNormError, DimensionMismatchError, UnsupportedDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC

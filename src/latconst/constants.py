@@ -5,7 +5,10 @@ pairs, computed by the one engine ``search.certified_extremum``: the net
 scan yields the certified side, ``net value -/+ (sum of per-argument
 Lipschitz factors) * mesh``, and refinement from the best net pairs
 improves the attained side only.  This module supplies the objectives, the
-nets and their slacks, and clamps the certificates to [1, 2].
+nets and their slacks.  One step, ``_enclosure``, turns the engine's values
+into every computed interval of the package, clamped to the a priori range
+of its kind ([1, 2] for the sphere constants, [0, 1] for the moduli); one
+helper, ``_exact``, gives the exact values (dimension 1, moduli at eps = 0).
 
 Per-argument Lipschitz factors: 1 for ||x + y|| on positive and disjoint
 pairs, and the conservative 2 for the full-sphere max/min of ||x - y|| and
@@ -54,6 +57,7 @@ __all__ = [
 
 _TOP_K_PAIRS = 4
 _TOP_K_SIGNED = 10
+_MODULI = ("sigma", "delta")
 
 
 @dataclass
@@ -88,14 +92,33 @@ class ConstantEstimate:
         }
 
 
-def _exact(kind: str, value: float, space: LatticeSpace, y_sign: float = 1.0):
-    """Exact value in dimension 1, witnessed by (e, y_sign * e) for the unit e."""
-    e = np.array([1.0]) / space.basis_norms[0]
-    return ConstantEstimate(kind, value, value, value, (e, y_sign * e), 0.0, {})
+def _exact(kind: str, value: float, space: LatticeSpace, y_scale: float = 1.0):
+    """An exact value (dimension-1 constants, moduli at eps = 0), witnessed by
+    (e, y_scale * e) for the normalized first unit vector e."""
+    e = np.zeros(space.dim)
+    e[0] = 1.0 / space.basis_norms[0]
+    info = {"resolution": None} if kind in _MODULI else {}
+    return ConstantEstimate(kind, value, value, value, (e, y_scale * e), 0.0, info)
 
 
 def _plus(space: LatticeSpace):
     return lambda X, Y: space.norm_values(X + Y)
+
+
+def _enclosure(kind, maximize, certified, attained, witnesses, mesh, info):
+    """The one interval builder: [lower, upper] from the engine's certified
+    and attained values, clamped to the a priori range of the kind ([0, 1]
+    for the moduli, [1, 2] for the sphere constants).  The certified side is
+    clamped into the range, an infimum's attained side is floored too, and
+    the certified side never passes the attained one, which is the estimate."""
+    lo, hi = (0.0, 1.0) if kind in _MODULI else (1.0, 2.0)
+    if maximize:
+        upper = min(hi, certified)
+        lower = min(attained, upper)
+        return ConstantEstimate(kind, lower, upper, lower, witnesses, mesh, info)
+    upper = max(lo, attained)
+    lower = min(max(lo, certified), upper)
+    return ConstantEstimate(kind, lower, upper, upper, witnesses, mesh, info)
 
 
 def net_pair_extremum(
@@ -107,13 +130,12 @@ def net_pair_extremum(
     pair_budget: int,
     maximize: bool = False,
     full_sphere: bool = False,
-):
+) -> ConstantEstimate:
     """The engine on one net paired with itself: the positive face net, or
     the half-sphere net for full-sphere objectives (which are invariant
     under x -> -x and y -> -y).  The slack is ``lipschitz * mesh``, with
-    ``lipschitz`` the sum of the per-argument Lipschitz factors.
-
-    Returns (step, net, certified, attained, witnesses).
+    ``lipschitz`` the sum of the per-argument Lipschitz factors; the result
+    is the finished enclosure of ``kind``.
     """
     orbits = 2 ** (space.dim - 1) if full_sphere else 1
     h = resolve_resolution(kind, space.dim, resolution, pair_budget,
@@ -121,20 +143,10 @@ def net_pair_extremum(
     net = (half_sphere_net if full_sphere else positive_face_net)(space, h)
     top = _TOP_K_SIGNED if full_sphere else _TOP_K_PAIRS
     block = (net.points, net.points, lipschitz * net.mesh_norm, 2 * h, None, None)
-    return (h, net) + certified_extremum(
+    certified, attained, witnesses = certified_extremum(
         space, objective, [block], maximize, not full_sphere, top_k=top, refine=top)
-
-
-def _enclosure(kind, maximize, certified, attained, witnesses, mesh, info):
-    """Interval from the engine's certified and attained values, clamped to
-    the a priori range [1, 2] of every sphere constant here (an infimum is
-    >= 1, a supremum <= 2)."""
-    if maximize:
-        upper = min(2.0, certified)
-        lower = min(attained, upper)
-        return ConstantEstimate(kind, lower, upper, lower, witnesses, mesh, info)
-    lower = min(max(1.0, certified), attained)
-    return ConstantEstimate(kind, lower, attained, attained, witnesses, mesh, info)
+    info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(net) ** 2}
+    return _enclosure(kind, maximize, certified, attained, witnesses, net.mesh_norm, info)
 
 
 def lambda_plus(
@@ -146,11 +158,7 @@ def lambda_plus(
     in each argument, so lower = net min - 2 * mesh."""
     if space.dim == 1:
         return _exact("lambda_plus", 2.0, space)
-    h, net, certified, attained, witnesses = net_pair_extremum(
-        space, "lambda_plus", _plus(space), 2.0, resolution, pair_budget)
-    info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(net) ** 2}
-    return _enclosure("lambda_plus", False, certified, attained, witnesses,
-                      net.mesh_norm, info)
+    return net_pair_extremum(space, "lambda_plus", _plus(space), 2.0, resolution, pair_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +252,10 @@ def alpha(
     resolve_resolution("alpha", space.dim, resolution, pair_budget,
                        cross if resolution is None else both)
     est = _disjoint_support_extremum(space, "alpha", True, resolution, pair_budget)
-    *_, certified, attained, _ = net_pair_extremum(
-        space, "alpha", lambda X, Y: space.norm_values(X - Y), 2.0, resolution,
-        pair_budget, maximize=True)
-    est.info["cross_check_estimate"] = attained
-    est.info["cross_check_upper"] = min(2.0, certified)
+    cross = net_pair_extremum(space, "alpha", lambda X, Y: space.norm_values(X - Y), 2.0,
+                              resolution, pair_budget, maximize=True)
+    est.info["cross_check_estimate"] = cross.estimate
+    est.info["cross_check_upper"] = cross.upper
     return est
 
 
@@ -266,11 +273,9 @@ def _full_sphere_extremum(
 ) -> ConstantEstimate:
     combine = np.minimum if kind == "james" else np.maximum
     # Lipschitz factor 2 per argument, two arguments
-    h, net, certified, attained, witnesses = net_pair_extremum(
+    return net_pair_extremum(
         space, kind, lambda X, Y: combine(space.norm_values(X - Y), space.norm_values(X + Y)),
         4.0, resolution, pair_budget, maximize, full_sphere=True)
-    info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(net) ** 2}
-    return _enclosure(kind, maximize, certified, attained, witnesses, net.mesh_norm, info)
 
 
 def lambda_schaffer(
@@ -294,7 +299,7 @@ def james(
     In dimension 1 every unit pair has x = +/- y, so the value is 0.
     """
     if space.dim == 1:
-        return _exact("james", 0.0, space, y_sign=-1.0)
+        return _exact("james", 0.0, space, y_scale=-1.0)
     return _full_sphere_extremum(space, "james", True, resolution, pair_budget)
 
 

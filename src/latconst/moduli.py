@@ -16,8 +16,9 @@ of the true problem may round to a net point that just misses it:
     relax = mesh_x + mesh_t.
 
 sigma is 1-Lipschitz in x and eps-Lipschitz in y, so its certificate slack
-is (1 + eps) * mesh.  Both moduli take values in [0, 1] and certificates
-are clamped to that range.
+is (1 + eps) * mesh.  Both moduli take values in [0, 1]; their intervals
+come from the constants' one enclosure step, ``constants._enclosure``,
+which clamps them to that range.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .constants import ConstantEstimate, lambda_plus, net_pair_extremum
+from .constants import ConstantEstimate, _enclosure, _exact, lambda_plus, net_pair_extremum
 from .core import LatticeSpace
 from .nets import box_grid, face_point_count, positive_face_net, resolve_resolution
 from .search import refine_pair_on_sphere
@@ -39,6 +40,7 @@ __all__ = [
     "ModulusCurve",
     "Characteristic",
     "CheckResult",
+    "CheckReport",
     "IdentityReport",
     "BridgeReport",
     "sigma",
@@ -109,17 +111,14 @@ class CheckResult:
     informational: bool = False
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "informational": self.informational,
-            "details": self.details,
-        }
+    to_dict = asdict
 
 
 @dataclass
-class IdentityReport:
+class CheckReport:
+    """The outcomes of one battery (identity battery, builtin suite or the
+    per-space verification); informational checks never fail it."""
+
     checks: list[CheckResult]
 
     @property
@@ -128,6 +127,13 @@ class IdentityReport:
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+
+    def lines(self) -> list[str]:
+        return [f"[{'INFO' if c.informational else 'PASS' if c.passed else 'FAIL'}] {c.name}"
+                for c in self.checks]
+
+
+IdentityReport = CheckReport
 
 
 @dataclass
@@ -158,13 +164,6 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def _exact_zero(kind: str, space: LatticeSpace, y_scale: float) -> ConstantEstimate:
-    """The exact value 0 at eps = 0, witnessed by (e, y_scale * e), e = e_1/||e_1||."""
-    e1 = np.zeros(space.dim)
-    e1[0] = 1.0 / space.basis_norms[0]
-    return ConstantEstimate(kind, 0.0, 0.0, 0.0, (e1, y_scale * e1), 0.0, {"resolution": None})
-
-
 def sigma(
     space: LatticeSpace,
     eps: float,
@@ -175,15 +174,11 @@ def sigma(
     eps = _check_eps(eps)
     if eps == 0.0:
         # ||x + 0*y|| - 1 = 0 on the sphere, exactly
-        return _exact_zero("sigma", space, 1.0)
-    resolution, net, certified, attained, witnesses = net_pair_extremum(
-        space, "sigma", lambda X, Y: space.norm_values(X + eps * Y) - 1.0, 1.0 + eps,
-        resolution, pair_budget)
-    est = max(0.0, attained)
-    lower = min(max(0.0, certified), est)
-    info = {"eps": eps, "resolution": resolution, "net_points": len(net),
-            "pairs_scanned": len(net) ** 2}
-    return ConstantEstimate("sigma", lower, est, est, witnesses, net.mesh_norm, info)
+        return _exact("sigma", 0.0, space)
+    est = net_pair_extremum(space, "sigma", lambda X, Y: space.norm_values(X + eps * Y) - 1.0,
+                            1.0 + eps, resolution, pair_budget)
+    est.info = {"eps": eps} | est.info
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -191,29 +186,20 @@ def sigma(
 # ---------------------------------------------------------------------------
 
 
-def _repair_multiplier(space: LatticeSpace, x: np.ndarray, t: np.ndarray, eps: float):
-    """Move t to the cheapest feasible multiplier on the ray: scale down onto
-    the constraint surface ||t*x|| = eps (always beneficial: shrinking y
-    grows x - y coordinatewise), or scale up and clamp when infeasible."""
-    nv = float(space.norm_values(t * x))
-    if nv >= eps > 0.0:
-        return t * (eps / nv)
-    if eps == 0.0:
-        return np.zeros_like(t)
-    if nv < _FEAS_TOL:
-        return None
-    t2 = np.minimum(t * (eps / nv), 1.0)
-    if float(space.norm_values(t2 * x)) >= eps - _FEAS_TOL:
-        return t2
-    return None
+def _onto_constraint(space: LatticeSpace, eps: float, x: np.ndarray, t: np.ndarray):
+    """Rows of multipliers t rescaled onto the constraint surface
+    ||t * x|| = eps, which never hurts the objective (shrinking y grows
+    x - y coordinatewise), and whether each result is feasible: clamping to
+    the box can break feasibility only when scaling up, so it is rechecked."""
+    nv = space.norm_values(t * x)
+    scale = np.where(nv > _FEAS_TOL, eps / np.maximum(nv, _FEAS_TOL), 0.0)
+    tr = np.minimum(t * scale[:, None], 1.0)
+    return tr, (space.norm_values(tr * x) >= eps - _FEAS_TOL) & (nv > _FEAS_TOL)
 
 
 def _constraint_projection(space: LatticeSpace, eps: float):
     """Projection step for the (x, t) search: x radially onto S+, t clipped
-    to the box and rescaled onto the constraint surface ||t * x|| = eps,
-    which never hurts the objective (shrinking y grows x - y
-    coordinatewise).  Clamping can break feasibility only when scaling up,
-    so feasibility is rechecked."""
+    to the box and moved onto the constraint by ``_onto_constraint``."""
 
     def project(xc: np.ndarray, tc: np.ndarray):
         np.maximum(xc, 0.0, out=xc)
@@ -222,11 +208,8 @@ def _constraint_projection(space: LatticeSpace, eps: float):
         valid = nx > 1e-12
         np.place(nx, ~valid, 1.0)
         xu = xc / nx[:, None]
-        nv = space.norm_values(tc * xu)
-        scale = np.where(nv > _FEAS_TOL, eps / np.maximum(nv, _FEAS_TOL), 0.0)
-        tr = np.minimum(tc * scale[:, None], 1.0)
-        feas = valid & (space.norm_values(tr * xu) >= eps - _FEAS_TOL) & (nv > _FEAS_TOL)
-        return xu, tr, feas
+        tr, feas = _onto_constraint(space, eps, xu, tc)
+        return xu, tr, valid & feas
 
     return project
 
@@ -238,13 +221,14 @@ def _refine_delta(
     step0: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Lockstep refinement over (x on S+, t in the box) from the seed pairs
-    (x, t), with the constraint kept active by ``_constraint_projection``;
-    returns the best refined (value, x, t), the earliest seed on ties."""
-    starts = [_repair_multiplier(space, x, t, eps) for x, t in seeds]
-    assert all(t is not None for t in starts), "refinement must start from a feasible point"
+    (x, t), moved onto the constraint first and kept on it by
+    ``_constraint_projection``; returns the best refined (value, x, t), the
+    earliest seed on ties."""
+    x0, t0 = (np.array(part) for part in zip(*seeds))
+    t0, feasible = _onto_constraint(space, eps, x0, t0)
+    assert np.all(feasible), "refinement must start from a feasible point"
     *_, (vals, x, t) = refine_pair_on_sphere(
-        space, lambda X, T: 1.0 - space.norm_values((1.0 - T) * X),
-        np.array([x for x, _ in seeds]), np.array(starts),
+        space, lambda X, T: 1.0 - space.norm_values((1.0 - T) * X), x0, t0,
         _constraint_projection(space, eps), step0)
     # the search tolerates ~1e-12 constraint slack, which (through square-root
     # geometry) can admit points ~1e-6 outside the true feasible set; push the
@@ -274,7 +258,7 @@ def delta_m(
     eps = _check_eps(eps)
     if eps == 0.0:
         # y = 0 is feasible and gives 1 - ||x|| = 0, exactly
-        return _exact_zero("delta", space, 0.0)
+        return _exact("delta", 0.0, space, y_scale=0.0)
     resolution = resolve_resolution(
         "delta", space.dim, resolution, pair_budget,
         lambda n: face_point_count(space.dim, n) * (n + 1) ** space.dim)
@@ -331,12 +315,10 @@ def delta_m(
         space, eps, [(x, t) for _, x, t in seeds[: 2 * _TOP_K]], step0=2 * resolution)
     # only refined witnesses count: raw net candidates may sit a hair outside
     # the feasible set (the scan mask carries the same 1e-12 slack)
-    est = max(0.0, min(best, 1.0))
-    lower = min(max(0.0, relaxed_min - relax), est)
     info = {"eps": eps, "resolution": resolution, "net_points": len(net),
             "pairs_scanned": len(net) * m}
-    witnesses = (wx, wt * wx)
-    return ConstantEstimate("delta", lower, est, est, witnesses, net.mesh_norm, info)
+    return _enclosure("delta", False, relaxed_min - relax, best, (wx, wt * wx),
+                      net.mesh_norm, info)
 
 
 def sigma_curve(space, eps_grid, resolution=None, pair_budget=DEFAULT_MODULI_BUDGET) -> ModulusCurve:
@@ -407,7 +389,7 @@ def identity_battery(
     eps_grid=None,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_MODULI_BUDGET,
-) -> IdentityReport:
+) -> CheckReport:
     """Verify every modulus identity/inequality on a grid, by certified
     estimates with tolerance 1e-2 (nothing is interpolated: identities with
     shifted arguments trigger fresh modulus computations at those points)."""
@@ -420,7 +402,7 @@ def identity_battery(
     cache = functools.cache(lambda fn, e: fn(space, float(e), resolution, pair_budget))
     sig = {e: cache(sigma, e).estimate for e in eps_grid}
     dlt = {e: cache(delta_m, e).estimate for e in eps_grid}
-    lam = lambda_plus(space).estimate
+    lam = lambda_plus(space, resolution, pair_budget).estimate
     checks: list[CheckResult] = []
 
     checks.append(CheckResult(
@@ -514,7 +496,7 @@ def identity_battery(
         details={"false_points": false_points,
                  "max_abs_dev": max(falsa.values()) if falsa else 0.0}))
 
-    return IdentityReport(checks)
+    return CheckReport(checks)
 
 
 def sigma_lambda_bridge(
@@ -525,7 +507,7 @@ def sigma_lambda_bridge(
     """Check sigma(1) + 1 against the positive-pair constant: both are
     inf ||x + y|| over S+ x S+, computed through independent code paths."""
     s1 = sigma(space, 1.0, resolution, pair_budget)
-    lp_est = lambda_plus(space, resolution)
+    lp_est = lambda_plus(space, resolution, pair_budget)
     diff = abs(s1.estimate + 1.0 - lp_est.estimate)
     slack = s1.width + lp_est.width
     return BridgeReport(s1, lp_est, diff, slack, diff <= max(slack, 5e-3))

@@ -60,7 +60,6 @@ def scan_pairs(
     """
     m = ys.shape[0]
     sign = -1.0 if maximize else 1.0
-    best = np.inf
     candidates: list[tuple[float, int, int]] = []
     block = max(1, min(256, int(5_000_000 // max(m, 1)) or 1))
     yb = ys[None, :, :]
@@ -69,21 +68,11 @@ def scan_pairs(
         flat = vals.ravel()
         k = min(top_k, flat.size)
         idx = np.argpartition(flat, k - 1)[:k] if k < flat.size else np.arange(flat.size)
-        for j in idx:
-            v = float(flat[j])
-            candidates.append((v, i0 + int(j) // m, int(j) % m))
-            if v < best:
-                best = v
+        candidates.extend((float(flat[j]), i0 + int(j) // m, int(j) % m) for j in idx)
+    # blocks partition the rows, so the candidates are distinct pairs; every
+    # block contributes its minimum, so the first sorted candidate is the best
     candidates.sort()
-    seen: set[tuple[int, int]] = set()
-    top: list[tuple[float, int, int]] = []
-    for v, i, j in candidates:
-        if (i, j) not in seen:
-            seen.add((i, j))
-            top.append((sign * v, i, j))
-        if len(top) >= top_k:
-            break
-    return sign * best, top
+    return sign * candidates[0][0], [(sign * v, i, j) for v, i, j in candidates[:top_k]]
 
 
 def _move_directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +131,6 @@ def refine_pair_on_sphere(
     y0: np.ndarray,
     project: Projection,
     step0: float | Sequence[float],
-    step_min: float = _STEP_MIN,
     maximize: bool = False,
     support_x: Support = None,
     support_y: Support = None,
@@ -157,7 +145,7 @@ def refine_pair_on_sphere(
     the moved candidates back to the feasible set and flags the valid rows
     (``sphere_projection`` for sphere pairs).
 
-    Each sweep moves every start whose step is still at least ``step_min``,
+    Each sweep moves every start whose step is still at least ``_STEP_MIN``,
     through one projection and one objective call on all their candidates.
     A start keeps its own best value and step, and stops after
     ``_MAX_SWEEPS`` sweeps, so its result is the one a single-start call
@@ -176,7 +164,7 @@ def refine_pair_on_sphere(
     fbest = sign * np.asarray(batch_values(x, y), dtype=float)
     moves = dx.shape[0]
     for _ in range(_MAX_SWEEPS):
-        active = np.flatnonzero(step >= step_min)
+        active = np.flatnonzero(step >= _STEP_MIN)
         if active.size == 0:
             break
         h = step[active, None, None]
@@ -208,7 +196,6 @@ def refine_vector_on_sphere(
     x0: np.ndarray,
     positive: bool,
     step0: float | Sequence[float],
-    step_min: float = _STEP_MIN,
     maximize: bool = False,
 ) -> tuple[float, np.ndarray]:
     """Single-vector variant of ``refine_pair_on_sphere`` (the second
@@ -216,7 +203,7 @@ def refine_vector_on_sphere(
     starts, and the best one is returned."""
     val, x, *_ = refine_pair_on_sphere(
         space, lambda X, Y: batch_values(X), x0, x0, sphere_projection(space, positive),
-        step0, step_min, maximize, support_y=())
+        step0, maximize, support_y=())
     return val, x
 
 

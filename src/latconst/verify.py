@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .constants import (
     alpha,
     beta,
     build_chain,
+    constant_battery,
     james,
     lambda_plus,
     lambda_schaffer,
@@ -37,6 +37,7 @@ from .constructions import (
 from .core import LatticeSpace, Scale, permute_norm
 from .moduli import (
     DEFAULT_MODULI_BUDGET,
+    CheckReport,
     CheckResult,
     delta_m,
     identity_battery,
@@ -73,25 +74,7 @@ _CHAIN_SPACES = [
 ]
 
 
-@dataclass
-class SuiteReport:
-    checks: list[CheckResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if not c.informational)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
-
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            if c.informational:
-                status = "INFO"
-            out.append(f"[{status}] {c.name}")
-        return out
+SuiteReport = CheckReport
 
 
 class SuiteContext:
@@ -430,10 +413,10 @@ def run_builtin_suite(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     moduli_budget: int = DEFAULT_MODULI_BUDGET,
     seed: int = 0,
-) -> SuiteReport:
+) -> CheckReport:
     """Run every built-in criterion; informational entries never fail."""
     ctx = SuiteContext(pair_budget, moduli_budget, seed)
-    return SuiteReport([fn(ctx) for fn in _CRITERIA])
+    return CheckReport([fn(ctx) for fn in _CRITERIA])
 
 
 def verify_space(
@@ -442,23 +425,22 @@ def verify_space(
     resolution: float | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     moduli_budget: int = DEFAULT_MODULI_BUDGET,
-) -> SuiteReport:
+) -> CheckReport:
     """Verification battery for one user-supplied space: the constant chain,
     the 2-D collapse (when applicable), l1-sum invariance, and all modulus
     identities (with the pointwise ratio formula evaluated and reported,
     never asserted)."""
     checks: list[CheckResult] = []
     if space.dim >= 2:
-        consts = {k: _CONSTANT_FN[k](space, resolution, pair_budget) for k in CHAIN_ORDER}
-        chain, chain_ok = build_chain(consts)
-        product = consts["lambda"].estimate * consts["james"].estimate
+        battery = constant_battery(space, resolution, pair_budget)
+        consts = battery.constants
         checks.append(CheckResult(
-            "constant_chain", chain_ok,
-            details={"chain": chain,
+            "constant_chain", battery.chain_ok,
+            details={"chain": battery.chain,
                      "estimates": {k: v.estimate for k, v in consts.items()}}))
         checks.append(CheckResult(
-            "schaffer_james_product", abs(product - 2.0) <= _PRODUCT_TOL,
-            details={"product": product}))
+            "schaffer_james_product", abs(battery.product - 2.0) <= _PRODUCT_TOL,
+            details={"product": battery.product}))
         gap = consts["beta"].estimate - consts["lambda_plus"].estimate
         checks.append(CheckResult(
             "disjoint_gap", True, informational=True,
@@ -478,6 +460,5 @@ def verify_space(
                 "l1_sum_invariance", dev <= _COLLAPSE_TOL,
                 details={"lambda_plus_summed": lam_sum, "beta_summed": bet_sum,
                          "max_dev": dev}))
-    rep = identity_battery(space, eps_grid, resolution, pair_budget=moduli_budget)
-    checks.extend(rep.checks)
-    return SuiteReport(checks)
+    checks.extend(identity_battery(space, eps_grid, resolution, moduli_budget).checks)
+    return CheckReport(checks)

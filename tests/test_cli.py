@@ -98,11 +98,35 @@ def test_malformed_spec_exit_codes(tmp_path, capsys):
 
 
 def test_tol_is_an_embed_option_only(tmp_path, capsys):
+    # every option is registered only on the commands that read it
     spec = write_spec(tmp_path, L1_3_SPEC)
-    with pytest.raises(SystemExit) as exit_info:
-        main(["constants", "--spec", spec, "--tol", "0.1"])
-    assert exit_info.value.code == 2
+    for argv in (
+        ["constants", "--tol", "0.1"],
+        ["constants", "--format", "csv"],
+        ["constants", "--eps-grid", "0:1:0.5"],
+        ["verify", "--format", "csv"],
+        ["embed", "--format", "csv"],
+        ["embed", "--eps-grid", "0:1:0.5"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--spec", spec])
+        assert exit_info.value.code == 2, argv
     capsys.readouterr()
+    # a malformed grid is still a spec error
+    for grid in ("0:1", "1:0:0.5", "0:2:0.5"):
+        for command in ("moduli", "verify"):
+            code, _, err = run_cli([command, "--spec", spec, "--eps-grid", grid], capsys)
+            assert code == 2, (command, grid)
+            assert err.startswith("error:"), (command, grid)
+
+
+def test_moduli_pair_budget_is_honoured(tmp_path, capsys):
+    spec = write_spec(tmp_path, L2_2_SPEC)
+    args = ["--spec", spec, "--h", "0.02", "--pair-budget", "10"]
+    for command in ("constants", "moduli"):
+        code, _, err = run_cli([command] + args, capsys)
+        assert code == 3, command
+        assert "resolution" in err, command
 
 
 def test_budget_exceeded_exit_code(tmp_path, capsys):

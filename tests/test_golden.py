@@ -89,3 +89,58 @@ def test_golden_disjoint_support_3d():
     est = lc.alpha(space, None, 200000)
     assert _triple(est) == pytest.approx((2.0, 2.0, 2.0), abs=1e-12)
     assert est.info["pairs_scanned"] == 552
+
+
+# the exact-value and clamped paths: values recorded before they were routed
+# through one interval builder and one exact-value helper
+GOLDEN_EDGES = {
+    "l15_2": {
+        "e1": [1.0, 0.0],
+        "alpha_cross_upper": 1.7778772424443898,
+        "sigma_1": (0.45836879390368324, 0.5874010519681994, 0.5874010519681994),
+        "delta_m_1": (0.33746389191403225, 0.9999999998730015, 0.9999999998730015),
+    },
+    "mix": {
+        "e1": [0.8333333333333334, 0.0],
+        "alpha_cross_upper": 1.3689874924537697,
+        "sigma_1": (0.049479043913063125, 0.17851130197757925, 0.17851130197757925),
+        "delta_m_1": (0.0, 0.3366750419303214, 0.3366750419303214),
+    },
+    "poly": {
+        "e1": [1.0, 0.0],
+        "alpha_cross_upper": 2.0,
+        "sigma_1": (0.6891651534329876, 0.8181974114975037, 0.8181974114975037),
+        "delta_m_1": (0.4155887912061259, 0.9999999999999962, 0.9999999999999962),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_golden_moduli_ends_and_alpha_cross_upper(name):
+    space = SPACES[name]()
+    want = GOLDEN_EDGES[name]
+    assert lc.alpha(space, None, BUDGET).info["cross_check_upper"] == pytest.approx(
+        want["alpha_cross_upper"], abs=1e-12)
+    e1 = np.array(want["e1"])
+    for fn, y_scale in (("sigma", 1.0), ("delta_m", 0.0)):
+        est = getattr(lc, fn)(space, 0.0, None, BUDGET)
+        assert _triple(est) == (0.0, 0.0, 0.0), fn
+        assert est.info == {"resolution": None}, fn
+        assert np.array_equal(est.witnesses[0], e1), fn
+        assert np.array_equal(est.witnesses[1], y_scale * e1), fn
+        est = getattr(lc, fn)(space, 1.0, None, BUDGET)
+        assert _triple(est) == pytest.approx(want[f"{fn}_1"], abs=1e-12), fn
+
+
+def test_golden_dimension_one_constants():
+    # 1.5 * |x| in dimension 1: the unit vector is 2/3, and every constant is
+    # exact, witnessed by (e, e), or (e, -e) for james
+    space = lc.LatticeSpace(1, lc.Scale(1.5, lc.lp_space(1, 3).norm))
+    e = np.array([0.6666666666666666])
+    for fn, value, y_scale in (("lambda_plus", 2.0, 1.0), ("lambda_schaffer", 2.0, 1.0),
+                               ("alpha", 1.0, 1.0), ("james", 0.0, -1.0)):
+        est = getattr(lc, fn)(space)
+        assert _triple(est) == (value, value, value), fn
+        assert (est.mesh_norm, est.info) == (0.0, {}), fn
+        assert np.array_equal(est.witnesses[0], e), fn
+        assert np.array_equal(est.witnesses[1], y_scale * e), fn

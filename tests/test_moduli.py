@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from latconst import moduli
 from latconst import (
     beta_gap_space,
     characteristic,
@@ -178,3 +179,16 @@ def test_bridge_gap_norm():
     rep = sigma_lambda_bridge(beta_gap_space())
     assert rep.consistent
     assert rep.difference <= 1e-6
+
+
+def test_bridge_and_battery_pass_their_budget_on(monkeypatch):
+    # sigma(1) + 1 and lambda_plus are one infimum over one net when both
+    # run at the caller's budget
+    bridge = sigma_lambda_bridge(lp_space(3, 2))
+    assert bridge.lam_plus.info["resolution"] == bridge.sigma_one.info["resolution"]
+    calls = []
+    real = moduli.lambda_plus
+    monkeypatch.setattr(moduli, "lambda_plus", lambda *args: calls.append(args[1:]) or real(*args))
+    identity_battery(lp_space(3, 2), [0.0, 1.0], 0.25, 200000)
+    sigma_lambda_bridge(lp_space(2, 2), 0.1, 5000)
+    assert calls == [(0.25, 200000), (0.1, 5000)]
