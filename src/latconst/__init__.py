@@ -64,7 +64,6 @@ from .nets import (
     default_resolution,
     half_sphere_net,
     positive_face_net,
-    positive_sphere_net,
     support_pairs,
 )
 from .spaces import (

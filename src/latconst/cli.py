@@ -6,8 +6,9 @@
     latconst embed     --spec FILE [--tol T]
 
 Every command also takes --h H, --seed S, --out F and --pair-budget N (per
-constant, or per modulus grid point for moduli); an option is registered
-only on the commands that read it.
+constant, or per modulus grid point for moduli; verify runs its moduli at
+min(N, DEFAULT_MODULI_BUDGET) per grid point); an option is registered only
+on the commands that read it.
 Machine output goes to stdout (or --out); human diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 malformed spec, 3 budget
 exceeded, 4 no embedding pair with small enough defect.  Output is
@@ -19,8 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from . import __version__
 from .constants import constant_battery
@@ -111,8 +110,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     results["chain_ok"] = battery.chain_ok
     results["schaffer_james_product"] = battery.product
     certificates = {
-        name: {"mesh_norm": est.mesh_norm, "interval_width": est.width,
-               **{k: v for k, v in est.info.items() if not isinstance(v, np.ndarray)}}
+        name: {"mesh_norm": est.mesh_norm, "interval_width": est.width, **est.info}
         for name, est in battery.constants.items()
     }
     _emit(args, _json_report(space.to_dict(), results, certificates))
@@ -193,8 +191,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="max net-pair evaluations per modulus grid point")
             p.add_argument("--format", choices=("json", "csv"), default="json")
         else:
+            moduli_note = (f" and min(PAIR_BUDGET, {DEFAULT_MODULI_BUDGET}) per modulus "
+                           "grid point") if name == "verify" else ""
             p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET,
-                           help="max net-pair evaluations per constant")
+                           help="max net-pair evaluations per constant" + moduli_note)
         if name in ("moduli", "verify"):
             p.add_argument("--eps-grid", type=str, default="0:1:0.05",
                            help="modulus grid as a:b:step")

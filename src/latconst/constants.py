@@ -10,11 +10,13 @@ into every computed interval of the package, clamped to the a priori range
 of its kind ([1, 2] for the sphere constants, [0, 1] for the moduli); one
 helper, ``_exact``, gives the exact values (dimension 1, moduli at eps = 0).
 
-Per-argument Lipschitz factors: 1 for ||x + y|| on positive and disjoint
-pairs, and the conservative 2 for the full-sphere max/min of ||x - y|| and
-||x + y||.  Disjointness is combinatorial in the coordinatewise order, so
-beta and alpha enumerate support pairs exactly: one engine block per pair,
-over positive sub-sphere nets with their own mesh certificates.
+Every objective is 1-Lipschitz in each argument: ||x + y|| on positive and
+disjoint pairs by the triangle inequality, and the full-sphere max/min of
+||x - y|| and ||x + y|| because |max(a, b) - max(a', b')| and
+|min(a, b) - min(a', b')| are at most max(|a - a'|, |b - b'|).
+Disjointness is combinatorial in the coordinatewise order, so beta and
+alpha enumerate support pairs exactly: one engine block per pair, over
+positive sub-sphere nets with their own mesh certificates.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ import numpy as np
 from .core import LatticeSpace, UnsupportedDimensionError
 from .nets import (
     DEFAULT_PAIR_BUDGET,
-    SphereNet,
     face_pairs,
     face_point_count,
     fit_resolution,
     half_sphere_net,
     over_budget,
     positive_face_net,
-    positive_sphere_net,
     resolve_resolution,
     steps_of,
     support_face_net,
@@ -51,8 +51,6 @@ __all__ = [
     "lambda_schaffer",
     "james",
     "constant_battery",
-    "positive_sphere_net",
-    "SphereNet",
 ]
 
 _TOP_K_PAIRS = 4
@@ -272,10 +270,11 @@ def _full_sphere_extremum(
     pair_budget: int,
 ) -> ConstantEstimate:
     combine = np.minimum if kind == "james" else np.maximum
-    # Lipschitz factor 2 per argument, two arguments
+    # max and min move by at most the larger move of ||x - y|| and ||x + y||,
+    # so the objective is 1-Lipschitz in each of its two arguments
     return net_pair_extremum(
         space, kind, lambda X, Y: combine(space.norm_values(X - Y), space.norm_values(X + Y)),
-        4.0, resolution, pair_budget, maximize, full_sphere=True)
+        2.0, resolution, pair_budget, maximize, full_sphere=True)
 
 
 def lambda_schaffer(

@@ -41,6 +41,9 @@ __all__ = [
     "direct_sum_l1",
 ]
 
+# directions sampled on the unit circle of (a, b) when measuring a copy
+_SAMPLES = 1000
+
 
 def disjoint_parts(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split nonnegative x, y into common part z = x ^ y and disjoint
@@ -79,11 +82,9 @@ class EmbeddingReport:
         }
 
 
-def extract_linfty2(
-    space: LatticeSpace, x, y, samples: int = 1000
-) -> EmbeddingReport:
+def extract_linfty2(space: LatticeSpace, x, y) -> EmbeddingReport:
     """Disjointify a positive unit pair and measure the 2-D sup-norm copy it
-    spans, sampling >= ``samples`` directions plus the four corners
+    spans, sampling ``_SAMPLES`` directions plus the four corners
     (+/-1, +/-1) where the analytic bounds bind."""
     vx = as_vector(x, dim=space.dim)
     vy = as_vector(y, dim=space.dim)
@@ -102,7 +103,7 @@ def extract_linfty2(
     _, xp, yp = disjoint_parts(vx, vy)
     if space.norm_value(xp) < 1e-9 or space.norm_value(yp) < 1e-9:
         raise EmbeddingError("degenerate pair (x = y): disjoint parts vanish")
-    theta = 2.0 * math.pi * np.arange(samples) / samples
+    theta = 2.0 * math.pi * np.arange(_SAMPLES) / _SAMPLES
     ab = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     corners = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     ab = np.vstack([ab, corners])
@@ -126,7 +127,6 @@ def find_embedding(
     space: LatticeSpace,
     resolution: float | None = None,
     defect_cap: float = 0.995,
-    samples: int = 1000,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> EmbeddingReport:
     """Search mode: reuse the positive-pair infimum witness as the source
@@ -138,7 +138,7 @@ def find_embedding(
             f">= cap {defect_cap}: no useful embedding"
         )
     wx, wy = est.witnesses
-    return extract_linfty2(space, wx, wy, samples=samples)
+    return extract_linfty2(space, wx, wy)
 
 
 def diagonal_isomorphism(

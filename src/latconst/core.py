@@ -458,11 +458,6 @@ class LatticeSpace:
         b.setflags(write=False)
         self.basis_norms = b
 
-    @property
-    def mesh_factor(self) -> float:
-        """sum_i ||e_i|| / min_i ||e_i||; grid step h certifies a net of mesh h * mesh_factor."""
-        return float(np.sum(self.basis_norms) / np.min(self.basis_norms))
-
     def norm_value(self, x) -> float:
         """Norm of a single vector, with dimension and finiteness checks."""
         v = as_vector(x, dim=self.dim)

@@ -60,6 +60,11 @@ DEFAULT_MODULI_BUDGET = 2_000_000
 _FEAS_TOL = 1e-15
 _TOP_K = 4
 
+# a characteristic is the largest eps whose refined modulus estimate is at
+# most _CHAR_THRESHOLD, located to within _CHAR_EPS_RESOLUTION
+_CHAR_THRESHOLD = 1e-3
+_CHAR_EPS_RESOLUTION = 1e-3
+
 
 @dataclass
 class ModulusCurve:
@@ -90,16 +95,8 @@ class Characteristic:
 
     which: str  # "delta" -> eps_0m, "sigma" -> tilde eps_0m
     value: float
-    threshold: float
-    eps_resolution: float
 
-    def to_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "value": self.value,
-            "threshold": self.threshold,
-            "eps_resolution": self.eps_resolution,
-        }
+    to_dict = asdict
 
 
 @dataclass
@@ -227,25 +224,12 @@ def _refine_delta(
     x0, t0 = (np.array(part) for part in zip(*seeds))
     t0, feasible = _onto_constraint(space, eps, x0, t0)
     assert np.all(feasible), "refinement must start from a feasible point"
-    *_, (vals, x, t) = refine_pair_on_sphere(
+    # every accepted move passed the projection's feasibility check, so the
+    # witnesses satisfy ||t * x|| >= eps - _FEAS_TOL as the seeds do
+    val, x, t, _ = refine_pair_on_sphere(
         space, lambda X, T: 1.0 - space.norm_values((1.0 - T) * X), x0, t0,
         _constraint_projection(space, eps), step0)
-    # the search tolerates ~1e-12 constraint slack, which (through square-root
-    # geometry) can admit points ~1e-6 outside the true feasible set; push the
-    # final multipliers back to strict feasibility along the segment toward 1
-    short = space.norm_values(t * x) < eps - 1e-14
-    if np.any(short):
-        xs, ts = x[short], t[short]
-        lo, hi = np.zeros(len(xs)), np.ones(len(xs))
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            ok = space.norm_values((ts + mid[:, None] * (1.0 - ts)) * xs) >= eps - 1e-14
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, mid)
-        t[short] = ts = ts + hi[:, None] * (1.0 - ts)
-        vals[short] = 1.0 - space.norm_values((1.0 - ts) * xs)
-    k = int(np.argmin(vals))
-    return float(vals[k]), x[k], t[k]
+    return val, x, t
 
 
 def delta_m(
@@ -313,8 +297,8 @@ def delta_m(
     seeds.sort(key=lambda s: s[0])
     best, wx, wt = _refine_delta(
         space, eps, [(x, t) for _, x, t in seeds[: 2 * _TOP_K]], step0=2 * resolution)
-    # only refined witnesses count: raw net candidates may sit a hair outside
-    # the feasible set (the scan mask carries the same 1e-12 slack)
+    # only refined witnesses count: the scan mask admits net candidates up to
+    # _FEAS_TOL below the constraint, and refinement starts from them again
     info = {"eps": eps, "resolution": resolution, "net_points": len(net),
             "pairs_scanned": len(net) * m}
     return _enclosure("delta", False, relaxed_min - relax, best, (wx, wt * wx),
@@ -340,11 +324,9 @@ def characteristic(
     space: LatticeSpace,
     which: str,
     resolution: float | None = None,
-    threshold: float = 1e-3,
-    eps_resolution: float = 1e-3,
     pair_budget: int = DEFAULT_MODULI_BUDGET,
 ) -> Characteristic:
-    """Bisection for the largest eps with modulus estimate <= threshold.
+    """Bisection for the largest eps with modulus estimate <= _CHAR_THRESHOLD.
 
     Both moduli are non-decreasing in eps (for sigma because ||x + eps*y||
     is non-decreasing in eps on the positive cone), so the zero set is an
@@ -359,17 +341,17 @@ def characteristic(
     def g(e: float) -> float:
         return fn(space, e, resolution, pair_budget).estimate
 
-    hi_probe = 1.0 - eps_resolution
-    if g(hi_probe) <= threshold:
-        return Characteristic(which, 1.0, threshold, eps_resolution)
+    hi_probe = 1.0 - _CHAR_EPS_RESOLUTION
+    if g(hi_probe) <= _CHAR_THRESHOLD:
+        return Characteristic(which, 1.0)
     lo, hi = 0.0, hi_probe
-    while hi - lo > eps_resolution:
+    while hi - lo > _CHAR_EPS_RESOLUTION:
         mid = 0.5 * (lo + hi)
-        if g(mid) <= threshold:
+        if g(mid) <= _CHAR_THRESHOLD:
             lo = mid
         else:
             hi = mid
-    return Characteristic(which, lo, threshold, eps_resolution)
+    return Characteristic(which, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +458,8 @@ def identity_battery(
         details={"eps0": char_d.value, "tilde_eps0": char_s.value}))
     s_at = cache(sigma, min(char_s.value, 1.0)).estimate
     checks.append(CheckResult(
-        "sigma_vanishes_at_characteristic", s_at <= char_s.threshold + ctol,
-        details={"sigma_at_characteristic": s_at, "threshold": char_s.threshold}))
+        "sigma_vanishes_at_characteristic", s_at <= _CHAR_THRESHOLD + ctol,
+        details={"sigma_at_characteristic": s_at, "threshold": _CHAR_THRESHOLD}))
 
     # uniform monotonicity link: lambda_plus > 1 iff both characteristics < 1
     gap = 0.05

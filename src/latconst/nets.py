@@ -12,9 +12,7 @@ Renormalizing g to the sphere at most doubles the relative error:
 
 Hence the normalized points of the cube's "top faces" {max_i g_i = 1} form a
 net of S+ with certified mesh h * F.  The same bound covers the full sphere
-orthant by orthant because lattice norms ignore coordinate signs.  The
-full-grid variant (all nonzero grid points, deduplicated by ray) contains
-the face net and carries the same certificate.
+orthant by orthant because lattice norms ignore coordinate signs.
 
 Dimension 1 is exact: S+ is the single point e_1 / b_1 and the mesh is 0.
 """
@@ -34,7 +32,6 @@ __all__ = [
     "DEFAULT_PAIR_BUDGET",
     "default_resolution",
     "grid_values",
-    "positive_sphere_net",
     "positive_face_net",
     "support_face_net",
     "half_sphere_net",
@@ -64,8 +61,6 @@ class SphereNet:
 
     points: np.ndarray
     mesh_norm: float
-    resolution: float
-    kind: str
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -108,31 +103,12 @@ def _check_point_cap(dim: int, total: int, count_of_n) -> None:
                           fit_resolution(dim, DEFAULT_POINT_CAP, count_of_n))
 
 
-def positive_sphere_net(space: LatticeSpace, resolution: float) -> SphereNet:
-    """Net of S+ from all nonzero grid points of [0,1]^n, deduplicated by ray.
+def positive_face_net(space: LatticeSpace, resolution: float) -> SphereNet:
+    """Net of S+ from the grid points with max coordinate exactly 1 (the
+    top faces of the cube, which are all the covering argument rounds to).
 
     Exceeding ``DEFAULT_POINT_CAP`` raises ``BudgetExceededError`` with the
     coarsest resolution that fits; the grid is never silently truncated.
-    """
-    if space.dim == 1:
-        pts = np.array([[1.0]]) / space.basis_norms[0]
-        return SphereNet(pts, 0.0, float(resolution), "positive")
-    pts = _cube_grid(space.dim, resolution)
-    pts = pts[np.max(pts, axis=1) > 0.0]
-    reps = pts / np.max(pts, axis=1, keepdims=True)
-    reps = np.unique(np.round(reps, 9), axis=0)
-    units = reps / space.norm_values(reps)[:, None]
-    units.setflags(write=False)
-    mesh = float(resolution) * space.mesh_factor
-    return SphereNet(units, mesh, float(resolution), "positive")
-
-
-def positive_face_net(space: LatticeSpace, resolution: float) -> SphereNet:
-    """Net of S+ from the grid points with max coordinate exactly 1.
-
-    A subset of ``positive_sphere_net`` carrying the identical mesh
-    certificate (the covering argument only ever rounds points of the top
-    faces), at ~n/(grid size) of the cost; the optimizers use this one.
     """
     return support_face_net(space, tuple(range(space.dim)), resolution)
 
@@ -156,7 +132,7 @@ def support_face_net(
         units = np.unique(pts / space.norm_values(pts)[:, None], axis=0)
         mesh = float(resolution) * float(np.sum(b) / np.min(b))
     units.setflags(write=False)
-    return SphereNet(units, mesh, float(resolution), "positive-faces")
+    return SphereNet(units, mesh)
 
 
 def half_sphere_net(space: LatticeSpace, resolution: float) -> SphereNet:
@@ -176,7 +152,7 @@ def half_sphere_net(space: LatticeSpace, resolution: float) -> SphereNet:
     allpts = np.where(firstnz[:, None] < 0.0, -allpts, allpts)
     units = np.unique(allpts, axis=0)
     units.setflags(write=False)
-    return SphereNet(units, base.mesh_norm, float(resolution), "half-sphere")
+    return SphereNet(units, base.mesh_norm)
 
 
 def box_grid(dim: int, resolution: float) -> np.ndarray:

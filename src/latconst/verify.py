@@ -17,17 +17,7 @@ import math
 
 import numpy as np
 
-from .constants import (
-    CHAIN_ORDER,
-    ConstantEstimate,
-    alpha,
-    beta,
-    build_chain,
-    constant_battery,
-    james,
-    lambda_plus,
-    lambda_schaffer,
-)
+from .constants import ConstantBattery, ConstantEstimate, beta, constant_battery, lambda_plus
 from .constructions import (
     diagonal_isomorphism,
     direct_sum_l1,
@@ -60,14 +50,6 @@ _COLLAPSE_TOL = 1e-2
 _IDENTITY_TOL = 1e-2
 _PRODUCT_TOL = 2e-2
 
-_CONSTANT_FN = {
-    "lambda": lambda_schaffer,
-    "lambda_plus": lambda_plus,
-    "beta": beta,
-    "alpha": alpha,
-    "james": james,
-}
-
 _CHAIN_SPACES = [
     "l1_2", "l1_3", "l15_2", "l15_3", "l2_2", "l2_3", "l3_2", "l3_3",
     "linf_2", "linf_3", "beta_gap", "max_linf_l1", "max_l2_linf_1.2",
@@ -77,29 +59,35 @@ _CHAIN_SPACES = [
 SuiteReport = CheckReport
 
 
-class SuiteContext:
-    """Shared caches so the criteria do not recompute the same constants."""
+def _moduli_budget(pair_budget: int) -> int:
+    """Per-point modulus budget of a run whose constants get ``pair_budget``."""
+    return min(pair_budget, DEFAULT_MODULI_BUDGET)
 
-    def __init__(self, pair_budget: int = DEFAULT_PAIR_BUDGET,
-                 moduli_budget: int = DEFAULT_MODULI_BUDGET, seed: int = 0):
+
+class SuiteContext:
+    """Shared caches so the criteria do not recompute the same constants:
+    one constant battery per catalog space."""
+
+    def __init__(self, pair_budget: int = DEFAULT_PAIR_BUDGET, seed: int = 0):
         self.pair_budget = pair_budget
-        self.moduli_budget = moduli_budget
+        self.moduli_budget = _moduli_budget(pair_budget)
         self.seed = seed
         self._spaces: dict[str, LatticeSpace] = {}
-        self._constants: dict[tuple[str, str], ConstantEstimate] = {}
+        self._batteries: dict[str, ConstantBattery] = {}
 
     def space(self, name: str) -> LatticeSpace:
         if name not in self._spaces:
             self._spaces[name] = builtin_space(name)
         return self._spaces[name]
 
+    def battery(self, name: str) -> ConstantBattery:
+        if name not in self._batteries:
+            self._batteries[name] = constant_battery(self.space(name),
+                                                     pair_budget=self.pair_budget)
+        return self._batteries[name]
+
     def constant(self, name: str, kind: str) -> ConstantEstimate:
-        key = (name, kind)
-        if key not in self._constants:
-            self._constants[key] = _CONSTANT_FN[kind](
-                self.space(name), pair_budget=self.pair_budget
-            )
-        return self._constants[key]
+        return self.battery(name).constants[kind]
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -203,12 +191,10 @@ def check_chain_and_product(ctx: SuiteContext) -> CheckResult:
     rows = {}
     ok = True
     for name in _CHAIN_SPACES:
-        consts = {k: ctx.constant(name, k) for k in CHAIN_ORDER}
-        chain, chain_ok = build_chain(consts)
-        product = consts["lambda"].estimate * consts["james"].estimate
-        prod_ok = abs(product - 2.0) <= _PRODUCT_TOL
-        rows[name] = {"chain_ok": chain_ok, "product": product}
-        ok = ok and chain_ok and prod_ok
+        battery = ctx.battery(name)
+        prod_ok = abs(battery.product - 2.0) <= _PRODUCT_TOL
+        rows[name] = {"chain_ok": battery.chain_ok, "product": battery.product}
+        ok = ok and battery.chain_ok and prod_ok
     return CheckResult("chain_and_product", ok, details=rows)
 
 
@@ -373,15 +359,12 @@ def check_refinement_and_invariance(ctx: SuiteContext) -> CheckResult:
         base = ctx.space(name)
         scaled = LatticeSpace(base.dim, Scale(3.0, base.norm))
         permuted = LatticeSpace(base.dim, permute_norm(base.norm, perm))
-        worst_scale = worst_perm = 0.0
-        for kind in CHAIN_ORDER:
-            ref = ctx.constant(name, kind).estimate
-            worst_scale = max(worst_scale, abs(
-                _CONSTANT_FN[kind](scaled, pair_budget=ctx.pair_budget).estimate - ref))
-            worst_perm = max(worst_perm, abs(
-                _CONSTANT_FN[kind](permuted, pair_budget=ctx.pair_budget).estimate - ref))
-        inv[name] = {"max_dev_scale": worst_scale, "max_dev_permutation": worst_perm}
-        ok = ok and worst_scale <= 1e-9 and worst_perm <= 1e-9
+        inv[name] = {}
+        for label, other in (("max_dev_scale", scaled), ("max_dev_permutation", permuted)):
+            consts = constant_battery(other, pair_budget=ctx.pair_budget).constants
+            inv[name][label] = max(abs(est.estimate - ctx.constant(name, kind).estimate)
+                                   for kind, est in consts.items())
+        ok = ok and max(inv[name].values()) <= 1e-9
     details["invariance"] = inv
 
     # determinism: independent recomputations serialize identically
@@ -409,13 +392,11 @@ _CRITERIA = [
 ]
 
 
-def run_builtin_suite(
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    moduli_budget: int = DEFAULT_MODULI_BUDGET,
-    seed: int = 0,
-) -> CheckReport:
-    """Run every built-in criterion; informational entries never fail."""
-    ctx = SuiteContext(pair_budget, moduli_budget, seed)
+def run_builtin_suite(pair_budget: int = DEFAULT_PAIR_BUDGET, seed: int = 0) -> CheckReport:
+    """Run every built-in criterion; informational entries never fail.  The
+    constants get ``pair_budget`` each, the moduli min(pair_budget,
+    DEFAULT_MODULI_BUDGET) per grid point."""
+    ctx = SuiteContext(pair_budget, seed)
     return CheckReport([fn(ctx) for fn in _CRITERIA])
 
 
@@ -424,12 +405,12 @@ def verify_space(
     eps_grid=None,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    moduli_budget: int = DEFAULT_MODULI_BUDGET,
 ) -> CheckReport:
     """Verification battery for one user-supplied space: the constant chain,
     the 2-D collapse (when applicable), l1-sum invariance, and all modulus
     identities (with the pointwise ratio formula evaluated and reported,
-    never asserted)."""
+    never asserted).  The moduli get min(pair_budget, DEFAULT_MODULI_BUDGET)
+    per grid point."""
     checks: list[CheckResult] = []
     if space.dim >= 2:
         battery = constant_battery(space, resolution, pair_budget)
@@ -460,5 +441,6 @@ def verify_space(
                 "l1_sum_invariance", dev <= _COLLAPSE_TOL,
                 details={"lambda_plus_summed": lam_sum, "beta_summed": bet_sum,
                          "max_dev": dev}))
-    checks.extend(identity_battery(space, eps_grid, resolution, moduli_budget).checks)
+    checks.extend(identity_battery(space, eps_grid, resolution,
+                                   _moduli_budget(pair_budget)).checks)
     return CheckReport(checks)

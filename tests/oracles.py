@@ -38,6 +38,15 @@ def lp_norm(p: float):
     return norm
 
 
+def formmax_norm(rows: np.ndarray):
+    """max_j sum_i rows[j, i] |a_i|, by broadcasting instead of a matrix product."""
+
+    def norm(a: np.ndarray) -> np.ndarray:
+        return np.max(np.sum(rows * np.abs(a)[..., None, :], axis=-1), axis=-1)
+
+    return norm
+
+
 def mix_linf_l1_norm(a: np.ndarray) -> np.ndarray:
     b = np.abs(a)
     return np.maximum(np.max(b, axis=-1), np.sum(b, axis=-1) / np.sqrt(2.0))

@@ -25,7 +25,14 @@ from latconst import (
     random_polyhedral2_space,
 )
 
-from oracles import angle_sphere, james_combine, lp_norm, pair_extremum, schaffer_combine
+from oracles import (
+    angle_sphere,
+    formmax_norm,
+    james_combine,
+    lp_norm,
+    pair_extremum,
+    schaffer_combine,
+)
 
 TOL = 5e-3
 ROOT2 = math.sqrt(2.0)
@@ -130,6 +137,25 @@ def test_lambda_james_l2_square():
     space = lp_space(2, 2)
     assert lambda_schaffer(space).estimate == pytest.approx(ROOT2, abs=TOL)
     assert james(space).estimate == pytest.approx(ROOT2, abs=TOL)
+
+
+def test_full_sphere_enclosures_contain_angle_oracle():
+    # the oracle's values are attained on the sphere, so the certified sides
+    # (lambda's lower, james's upper) must hold them exactly; the attained
+    # sides may miss them by the oracle's own grid error, two point gaps
+    rng = np.random.default_rng(31)
+    cases = [(lp_space(2, 2), lp_norm(2))]
+    for _ in range(4):
+        space = random_polyhedral2_space(rng)
+        cases.append((space, formmax_norm(space.norm.rows)))
+    for space, norm in cases:
+        pts = angle_sphere(norm, 720)
+        gap = float(np.max(norm(np.diff(np.vstack([pts, pts[:1]]), axis=0))))
+        oracle_lambda = pair_extremum(norm, pts, pts, schaffer_combine, maximize=False)
+        oracle_james = pair_extremum(norm, pts, pts, james_combine, maximize=True)
+        lam, jam = lambda_schaffer(space), james(space)
+        assert lam.lower <= oracle_lambda <= lam.upper + 2.0 * gap
+        assert jam.lower - 2.0 * gap <= oracle_james <= jam.upper
 
 
 def test_lambda_mixed_sqrt2_norm():

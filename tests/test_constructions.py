@@ -140,6 +140,12 @@ def test_diagonal_isomorphism_rejects_nonpositive():
         diagonal_isomorphism(lp_space(2, 2), [1.0, 0.0])
 
 
+def test_diagonal_isomorphism_on_block_sum():
+    d = np.array([1.5, 0.75, 1.2])
+    _, kappa = diagonal_isomorphism(direct_sum_l1(lp_space(2, 2), 1), d)
+    assert 1.0 <= kappa <= d.max() / d.min() + 1e-12
+
+
 def test_membership_interval_random_diagonals():
     rng = np.random.default_rng(5)
     space = lp_space(2, 1.5)

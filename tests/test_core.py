@@ -246,10 +246,13 @@ def test_permute_norm():
 
 def test_rescale_coordinates_matches_direct():
     rng = np.random.default_rng(17)
-    d = np.array([2.0, 0.5, 1.25])
-    for space in (lp_space(3, 1.5), beta_gap_space(), linf_space(3)):
-        scaled = LatticeSpace(3, rescale_coordinates(space.norm, d))
+    d3 = np.array([2.0, 0.5, 1.25])
+    # l2 (+) FormMax: each block gets its own slice of d
+    block_sum = LatticeSpace(4, BlockSum(2, [lp(2, 2), FormMax([[1.0, 0.3], [0.4, 1.0]])]))
+    for space, d in ((lp_space(3, 1.5), d3), (beta_gap_space(), d3), (linf_space(3), d3),
+                     (block_sum, np.array([2.0, 0.5, 1.25, 0.8]))):
+        scaled = LatticeSpace(space.dim, rescale_coordinates(space.norm, d))
         for _ in range(50):
-            v = rng.standard_normal(3)
+            v = rng.standard_normal(space.dim)
             assert scaled.norm_value(v) == pytest.approx(
                 space.norm_value(v / d), abs=1e-12)

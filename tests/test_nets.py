@@ -15,7 +15,6 @@ from latconst import (
     lambda_plus,
     lp_space,
     positive_face_net,
-    positive_sphere_net,
     sigma,
     support_pairs,
 )
@@ -44,7 +43,7 @@ def test_grid_values_include_endpoints():
 
 def test_dim2_half_step_net_rays():
     space = lp_space(2, 2)
-    net = positive_sphere_net(space, 0.5)
+    net = positive_face_net(space, 0.5)
     for ray in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5], [0.5, 1.0]):
         ray = np.asarray(ray)
         unit = ray / space.norm_value(ray)
@@ -53,14 +52,14 @@ def test_dim2_half_step_net_rays():
 
 
 def test_dim1_net_single_point():
-    net = positive_sphere_net(lp_space(1, 2), 0.1)
+    net = positive_face_net(lp_space(1, 2), 0.1)
     assert len(net) == 1
     assert np.allclose(net.points, [[1.0]])
     assert net.mesh_norm == 0.0
 
 
 def test_dim3_fine_grid_count_bound():
-    net = positive_sphere_net(lp_space(3, 1), 0.01)
+    net = positive_face_net(lp_space(3, 1), 0.01)
     assert len(net) <= 101**3
     assert np.max(np.abs(net.points.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -76,14 +75,10 @@ def test_mesh_certificate_by_sampling():
             assert float(np.min(dists)) <= net.mesh_norm + 1e-12
 
 
-def test_face_net_is_unit_and_subset_of_full_net():
+def test_face_net_points_are_unit():
     space = beta_gap_space()
     face = positive_face_net(space, 0.25)
-    full = positive_sphere_net(space, 0.25)
     assert np.max(np.abs(space.norm_values(face.points) - 1.0)) <= 1e-9
-    for row in face.points:
-        assert _contains_row(full.points, row, tol=1e-9)
-    assert len(face) <= len(full)
 
 
 def test_face_nets_nested_under_halving():
@@ -112,7 +107,7 @@ def test_half_sphere_net_canonical_and_covering():
 
 def test_point_cap_budget_error():
     with pytest.raises(BudgetExceededError) as err:
-        positive_sphere_net(lp_space(6, 2), 0.02)
+        positive_face_net(lp_space(6, 2), 0.02)
     assert err.value.required_resolution is not None
     assert err.value.required_resolution > 0.02
 
