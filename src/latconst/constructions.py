@@ -29,8 +29,7 @@ from .core import (
     meet,
     rescale_coordinates,
 )
-from .nets import DEFAULT_PAIR_BUDGET, face_pairs, positive_face_net, resolve_resolution
-from .search import refine_vector_on_sphere
+from .nets import DEFAULT_PAIR_BUDGET
 
 __all__ = [
     "EmbeddingReport",
@@ -141,39 +140,21 @@ def find_embedding(
     return extract_linfty2(space, wx, wy)
 
 
-def diagonal_isomorphism(
-    space: LatticeSpace, d, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> tuple[LatticeSpace, float]:
+def diagonal_isomorphism(space: LatticeSpace, d) -> tuple[LatticeSpace, float]:
     """Push the norm forward under T = diag(d) (a lattice isomorphism) and
-    measure the distortion of the identity between the two normings.
+    return the distortion of the identity between the two normings.
 
-    The new space carries ||v||' = ||v / d||, so kappa = ||I: X -> Y|| *
-    ||I: Y -> X|| = sup_{S_X} ||x / d|| * sup_{S_Y} ||y * d||', both suprema
-    over positive spheres (lattice norms ignore signs) by net + refinement.
+    The new space carries ||v||' = ||v / d||, and kappa = ||I: X -> Y|| *
+    ||I: Y -> X|| = max(d) / min(d) exactly, for every lattice norm: by
+    monotonicity ||x / d|| <= ||x|| / min(d), with equality at the basis
+    vector of the smallest d_i, and likewise ||y * d|| <= max(d) ||y||, with
+    equality at the basis vector of the largest d_i.
     """
     d = as_vector(d, dim=space.dim)
     if np.any(d <= 0):
         raise ValueError("diagonal entries must be strictly positive")
     new_space = LatticeSpace(space.dim, rescale_coordinates(space.norm, d))
-    if space.dim == 1:
-        return new_space, 1.0
-
-    h = resolve_resolution("diagonal_isomorphism", space.dim, None, pair_budget,
-                           face_pairs(space.dim))
-
-    def op_norm(src: LatticeSpace, dst: LatticeSpace) -> float:
-        net = positive_face_net(src, h)
-        pts = net.points
-        vals = dst.norm_values(pts)
-        seeds = np.argsort(vals)[::-1][:2]
-        val, _ = refine_vector_on_sphere(
-            src, lambda V: dst.norm_values(V), pts[seeds],
-            positive=True, step0=2 * h, maximize=True,
-        )
-        return max(float(vals[seeds[0]]), val)
-
-    # identity map distortion between the normings: sup_{S_X} ||x||_Y * sup_{S_Y} ||y||_X
-    return new_space, op_norm(space, new_space) * op_norm(new_space, space)
+    return new_space, float(np.max(d) / np.min(d))
 
 
 def direct_sum_l1(space: LatticeSpace, m: int) -> LatticeSpace:

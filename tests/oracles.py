@@ -47,6 +47,43 @@ def formmax_norm(rows: np.ndarray):
     return norm
 
 
+def reference_eval_abs(expr, a: np.ndarray):
+    """``expr.eval_abs(a)`` by the plain numpy reductions: ``np.sum``/``np.max``
+    over the last axis of the weighted terms, and ``np.stack`` of the block
+    values of a ``BlockSum``.  The package's column-by-column kernels must
+    reproduce these bits, and the numpy scalar a single vector gives."""
+    from latconst import BlockSum, FormMax, MaxOf, Scale, WeightedP
+
+    if isinstance(expr, WeightedP):
+        if np.isinf(expr.p):
+            return np.max(expr.weights * a, axis=-1)
+        if expr.p == 1.0:
+            return np.sum(expr.weights * a, axis=-1)
+        return np.sum(expr.weights * a**expr.p, axis=-1) ** (1.0 / expr.p)
+    if isinstance(expr, MaxOf):
+        out = reference_eval_abs(expr.terms[0], a)
+        for t in expr.terms[1:]:
+            out = np.maximum(out, reference_eval_abs(t, a))
+        return out
+    if isinstance(expr, Scale):
+        return expr.c * reference_eval_abs(expr.term, a)
+    if isinstance(expr, FormMax):
+        return np.max(a @ expr.rows.T, axis=-1)
+    if isinstance(expr, BlockSum):
+        parts = []
+        i = 0
+        for b in expr.blocks:
+            parts.append(reference_eval_abs(b, a[..., i : i + b.dim]))
+            i += b.dim
+        vals = np.stack(parts, axis=-1)
+        if np.isinf(expr.p):
+            return np.max(vals, axis=-1)
+        if expr.p == 1.0:
+            return np.sum(vals, axis=-1)
+        return np.sum(vals**expr.p, axis=-1) ** (1.0 / expr.p)
+    raise TypeError(f"no reference for {type(expr).__name__}")
+
+
 def mix_linf_l1_norm(a: np.ndarray) -> np.ndarray:
     b = np.abs(a)
     return np.maximum(np.max(b, axis=-1), np.sum(b, axis=-1) / np.sqrt(2.0))

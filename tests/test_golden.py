@@ -76,7 +76,7 @@ def test_golden_enclosures_2d(name):
     got["alpha_cross"] = est.info["cross_check_estimate"]
     got["sigma"] = _triple(lc.sigma(space, 0.5, None, BUDGET))
     got["delta_m"] = _triple(lc.delta_m(space, 0.5, None, BUDGET))
-    got["diagonal_isomorphism"] = lc.diagonal_isomorphism(space, [1.0, 2.0], BUDGET)[1]
+    got["diagonal_isomorphism"] = lc.diagonal_isomorphism(space, [1.0, 2.0])[1]
     assert set(got) == set(want)
     for key, value in want.items():
         assert got[key] == pytest.approx(value, abs=1e-12), key
