@@ -14,6 +14,9 @@ Every objective is 1-Lipschitz in each argument: ||x + y|| on positive and
 disjoint pairs by the triangle inequality, and the full-sphere max/min of
 ||x - y|| and ||x + y|| because |max(a, b) - max(a', b')| and
 |min(a, b) - min(a', b')| are at most max(|a - a'|, |b - b'|).
+These objectives are also symmetric in x and y bit for bit (x + y == y + x,
+and x - y == -(y - x) while a lattice norm reads only |.|), so on one net
+paired with itself the engine scans the pairs j >= i only.
 Disjointness is combinatorial in the coordinatewise order, so beta and
 alpha enumerate support pairs exactly: one engine block per pair, over
 positive sub-sphere nets with their own mesh certificates.
@@ -128,12 +131,15 @@ def net_pair_extremum(
     pair_budget: int,
     maximize: bool = False,
     full_sphere: bool = False,
+    symmetric: bool = False,
 ) -> ConstantEstimate:
     """The engine on one net paired with itself: the positive face net, or
     the half-sphere net for full-sphere objectives (which are invariant
     under x -> -x and y -> -y).  The slack is ``lipschitz * mesh``, with
     ``lipschitz`` the sum of the per-argument Lipschitz factors; the result
-    is the finished enclosure of ``kind``.
+    is the finished enclosure of ``kind``.  ``symmetric`` states that the
+    objective is unchanged, bit for bit, when x and y swap, so the scan
+    covers every ordered pair from the pairs j >= i.
     """
     orbits = 2 ** (space.dim - 1) if full_sphere else 1
     h = resolve_resolution(kind, space.dim, resolution, pair_budget,
@@ -142,7 +148,8 @@ def net_pair_extremum(
     top = _TOP_K_SIGNED if full_sphere else _TOP_K_PAIRS
     block = (net.points, net.points, lipschitz * net.mesh_norm, 2 * h, None, None)
     certified, attained, witnesses = certified_extremum(
-        space, objective, [block], maximize, not full_sphere, top_k=top, refine=top)
+        space, objective, [block], maximize, not full_sphere, top_k=top, refine=top,
+        symmetric=symmetric)
     info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(net) ** 2}
     return _enclosure(kind, maximize, certified, attained, witnesses, net.mesh_norm, info)
 
@@ -156,7 +163,8 @@ def lambda_plus(
     in each argument, so lower = net min - 2 * mesh."""
     if space.dim == 1:
         return _exact("lambda_plus", 2.0, space)
-    return net_pair_extremum(space, "lambda_plus", _plus(space), 2.0, resolution, pair_budget)
+    return net_pair_extremum(space, "lambda_plus", _plus(space), 2.0, resolution, pair_budget,
+                             symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +259,7 @@ def alpha(
                        cross if resolution is None else both)
     est = _disjoint_support_extremum(space, "alpha", True, resolution, pair_budget)
     cross = net_pair_extremum(space, "alpha", lambda X, Y: space.norm_values(X - Y), 2.0,
-                              resolution, pair_budget, maximize=True)
+                              resolution, pair_budget, maximize=True, symmetric=True)
     est.info["cross_check_estimate"] = cross.estimate
     est.info["cross_check_upper"] = cross.upper
     return est
@@ -274,7 +282,7 @@ def _full_sphere_extremum(
     # so the objective is 1-Lipschitz in each of its two arguments
     return net_pair_extremum(
         space, kind, lambda X, Y: combine(space.norm_values(X - Y), space.norm_values(X + Y)),
-        2.0, resolution, pair_budget, maximize, full_sphere=True)
+        2.0, resolution, pair_budget, maximize, full_sphere=True, symmetric=True)
 
 
 def lambda_schaffer(

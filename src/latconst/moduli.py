@@ -172,8 +172,9 @@ def sigma(
     if eps == 0.0:
         # ||x + 0*y|| - 1 = 0 on the sphere, exactly
         return _exact("sigma", 0.0, space)
+    # X + 1.0 * Y is exactly X + Y, so the objective is symmetric at eps = 1
     est = net_pair_extremum(space, "sigma", lambda X, Y: space.norm_values(X + eps * Y) - 1.0,
-                            1.0 + eps, resolution, pair_budget)
+                            1.0 + eps, resolution, pair_budget, symmetric=eps == 1.0)
     est.info = {"eps": eps} | est.info
     return est
 

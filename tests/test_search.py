@@ -1,11 +1,18 @@
-"""Lockstep multi-start refinement: S starts refined in one call give, start
-for start, what S single-start calls give."""
+"""The engine's two stages.  Net pair scans: a symmetric objective scanned
+over the pairs j >= i gives what the full scan gives, and the best pair is
+the lexicographically smallest optimizer.  Lockstep multi-start refinement:
+S starts refined in one call give, start for start, what S single-start
+calls give."""
+
+import itertools
 
 import numpy as np
+import pytest
 
 import latconst as lc
-from latconst.nets import support_pairs
-from latconst.search import refine_pair_on_sphere, sphere_projection
+import latconst.search as search
+from latconst.nets import half_sphere_net, positive_face_net, support_pairs
+from latconst.search import refine_pair_on_sphere, scan_pairs, sphere_projection
 
 
 def _plus(space):
@@ -14,6 +21,131 @@ def _plus(space):
 
 def _schaffer(space):
     return lambda X, Y: np.maximum(space.norm_values(X - Y), space.norm_values(X + Y))
+
+
+def _minus(space):
+    return lambda X, Y: space.norm_values(X - Y)
+
+
+def _james(space):
+    return lambda X, Y: np.minimum(space.norm_values(X - Y), space.norm_values(X + Y))
+
+
+def _sigma_one(space):
+    return lambda X, Y: space.norm_values(X + 1.0 * Y) - 1.0
+
+
+def _scan_spaces():
+    planar = lc.random_polyhedral2_space(np.random.default_rng(7))
+    spaces = {f"l{p}": lc.lp_space(3, p) for p in (1, 1.5, 2, 3, np.inf)}
+    spaces |= {f"l{p}_weighted": lc.lp_space(3, p, weights=[1.0, 2.5, 0.75])
+               for p in (1, 1.5, 2, 3, np.inf)}
+    spaces["beta_gap"] = lc.beta_gap_space()
+    spaces["planar"] = planar
+    spaces["block_sum"] = lc.direct_sum_l1(lc.lp_space(2, 3), 1)
+    spaces["scale_max"] = lc.LatticeSpace(3, lc.Scale(0.7, lc.MaxOf(
+        [lc.Scale(1.5, lc.lp(3, 2)), lc.beta_gap_space().norm])))
+    spaces["max_scale"] = lc.LatticeSpace(2, lc.MaxOf(
+        [lc.Scale(1.25, planar.norm), lc.lp(2, 1.5)]))
+    return spaces
+
+
+SCAN_SPACES = _scan_spaces()
+# one point, under one block, one full block, and 1.17 blocks of 256 rows
+NET_SIZES = (1, 100, 256, 300)
+# (objective, maximize) per net; both nets are scanned in both senses
+SCANS = {
+    "face": [(_plus, False), (_plus, True), (_minus, True), (_sigma_one, False)],
+    "half": [(_schaffer, False), (_james, True), (_schaffer, True), (_james, False)],
+}
+
+
+def _net(space, kind):
+    h = {2: 0.005, 3: 0.05, 4: 0.25}[space.dim]
+    points = (positive_face_net if kind == "face" else half_sphere_net)(space, h).points
+    assert len(points) >= max(NET_SIZES)
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SPACES))
+def test_symmetric_scan_matches_full_scan(name):
+    space = SCAN_SPACES[name]
+    for kind, scans in SCANS.items():
+        net = _net(space, kind)
+        for n, (objective, maximize) in itertools.product(NET_SIZES, scans):
+            pts = net[:n]
+            f = objective(space)
+            top_k = 4 if kind == "face" else 10
+            val, top = scan_pairs(space, pts, pts, f, maximize, top_k)
+            sval, stop = scan_pairs(space, pts, pts, f, maximize, top_k, symmetric=True)
+            case = (kind, n, objective.__name__, maximize)
+            # the same bits, the same best pair, the same top-k values
+            assert val == sval and top[0] == stop[0], case
+            assert [v for v, _, _ in top] == [v for v, _, _ in stop], case
+            assert len({(i, j) for _, i, j in stop}) == len(stop) == min(top_k, n * n), case
+            # every reported value is the objective at its pair, and the best
+            # pair is the lexicographically smallest optimizer of all n^2
+            full = np.asarray(f(pts[:, None, :], pts[None, :, :]))
+            assert all(v == full[i, j] for v, i, j in stop), case
+            first = np.argmax(full.ravel()) if maximize else np.argmin(full.ravel())
+            assert stop[0][1:] == divmod(int(first), n) and sval == full.ravel()[first], case
+
+
+def test_symmetric_scan_tie_rule_on_l1():
+    # ||x + y||_1 = 2 on every positive l1 unit pair; on points with dyadic
+    # coordinates summing to 1 it is exactly 2.0, so every pair ties and the
+    # first pair, the diagonal (0, 0), must win
+    space = lc.lp_space(3, 1)
+    f = _plus(space)
+    for q in (16, 32):
+        pts = np.array([(a, b, q - a - b) for a in range(q + 1) for b in range(q + 1 - a)],
+                       dtype=float) / q
+        n = len(pts)  # 153 points in one block, 561 points in three
+        assert np.all(f(pts[:, None, :], pts[None, :, :]) == 2.0)
+        for top_k in (1, 4):
+            val, top = scan_pairs(space, pts, pts, f, top_k=top_k, symmetric=True)
+            assert val == 2.0 and top[0] == (2.0, 0, 0)
+        # with room for every pair, the seeds are all n^2 ordered pairs,
+        # each once, in lexicographic order, as in the full scan
+        everything = [(2.0, i, j) for i in range(n) for j in range(n)]
+        assert scan_pairs(space, pts, pts, f, top_k=n * n, symmetric=True)[1] == everything
+        assert scan_pairs(space, pts, pts, f, top_k=n * n)[1] == everything
+
+
+def test_symmetric_scan_needs_one_net():
+    space = lc.lp_space(2, 2)
+    pts = positive_face_net(space, 0.1).points
+    with pytest.raises(ValueError):
+        scan_pairs(space, pts, pts.copy(), _plus(space), symmetric=True)
+
+
+def test_symmetric_objectives_reach_the_triangle_scan(monkeypatch):
+    flags = []
+    scan = search.scan_pairs
+
+    def spy(*args, symmetric=False, **kwargs):
+        flags.append(symmetric)
+        return scan(*args, symmetric=symmetric, **kwargs)
+
+    monkeypatch.setattr(search, "scan_pairs", spy)
+    space = lc.lp_space(2, 3)
+    budget = 4000
+
+    def flags_of(fn, *args):
+        flags.clear()
+        fn(space, *args, pair_budget=budget)
+        return list(flags)
+
+    for fn in (lc.lambda_schaffer, lc.lambda_plus, lc.james):
+        assert flags_of(fn) == [True], fn.__name__
+    assert flags_of(lc.sigma, 1.0) == [True]
+    # alpha scans its support pairs in full, then its cross-check symmetrically
+    alpha_flags = flags_of(lc.alpha)
+    assert alpha_flags[-1] is True and not any(alpha_flags[:-1])
+    assert len(alpha_flags) == 1 + len(support_pairs(2))
+    assert flags_of(lc.sigma, 0.5) == [False]
+    assert flags_of(lc.beta) == [False] * len(support_pairs(2))
+    assert not any(flags_of(lc.delta_m, 0.5))
 
 
 def _unit_rows(space, rng, count, positive, support=None):
