@@ -18,7 +18,9 @@ both arguments, because single moves stall at edges of polyhedral objectives.
 All seeds are refined in lockstep: a sweep moves every seed still running,
 as one vectorized batch mapped back to the feasible set by a projection step
 (radial onto the sphere, or one supplied by the caller), while each seed
-keeps its own best value, step and sweep cap.
+keeps its own best value, step and sweep cap.  A seed whose recent gain
+cannot carry it to the best seed's value before the cap stops early, so the
+best seed ends where a search from it alone would and the others no better.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ Support = tuple[int, ...] | None | list[tuple[int, ...] | None]
 
 _EPS_IMPROVE = 1e-15
 _MAX_SWEEPS = 3000
+_STALL_SWEEPS = 25
 _STEP_MIN = 1e-11
 
 
@@ -179,8 +182,14 @@ def refine_pair_on_sphere(
     Each sweep moves every start whose step is still at least ``_STEP_MIN``,
     through one projection and one objective call on all their candidates.
     A start keeps its own best value and step, and stops after
-    ``_MAX_SWEEPS`` sweeps, so its result is the one a single-start call
-    gives (row for row, whenever the norm evaluates rows independently).
+    ``_MAX_SWEEPS`` sweeps.  Every ``_STALL_SWEEPS`` sweeps, a start that
+    gained over the last window but, at that rate, cannot close its gap to
+    the best start in the sweeps left stops too; the best start, a start
+    refined alone and a start with no recent gain go on.  So the returned
+    best value and witness are those of the best single-start call (unless
+    a stopped start would later have outrun its recent rate), and a stopped
+    start reports a value no better than its single-start call gives (row
+    for row, whenever the norm evaluates rows independently).
 
     Returns the value and witness pair of the best start (the earliest one
     on ties), then the per-start values and witnesses.
@@ -193,8 +202,13 @@ def refine_pair_on_sphere(
     dx, dy = _move_directions(dim)
     allowed = _move_mask(dx != 0, support_x, starts) & _move_mask(dy != 0, support_y, starts)
     fbest = sign * np.asarray(batch_values(x, y), dtype=float)
+    fwindow = fbest.copy()
     moves = dx.shape[0]
-    for _ in range(_MAX_SWEEPS):
+    for done in range(_MAX_SWEEPS):
+        if done and done % _STALL_SWEEPS == 0:
+            rate = (fwindow - fbest) / _STALL_SWEEPS
+            step[(rate > 0) & (fbest - fbest.min() > rate * (_MAX_SWEEPS - done))] = 0.0
+            fwindow = fbest.copy()
         active = np.flatnonzero(step >= _STEP_MIN)
         if active.size == 0:
             break

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import latconst as lc
+import latconst.moduli as moduli
 
 BUDGET = 4000
 
@@ -147,3 +148,52 @@ def test_golden_dimension_one_constants():
         assert (est.mesh_norm, est.info) == (0.0, {}), fn
         assert np.array_equal(est.witnesses[0], e), fn
         assert np.array_equal(est.witnesses[1], y_scale * e), fn
+
+
+# delta_m on the benchmark's scaled l2_3 at eps values where, before
+# refinement stopped starts that cannot overtake the best one, a creeping
+# non-best start ran to or near the 3000-sweep cap: (lower, estimate,
+# upper) and witnesses (x, y), recorded before that stall rule existed
+GOLDEN_LONG_TAIL = {
+    0.1: ((0.0, 0.005012562893400352, 0.005012562893400352),
+          [0.5705082120287442, 0.33840859919296873, 0.06666666666680313],
+          [0.0, 0.0, 0.06666666666666667]),
+    0.1 / 1.1: ((0.0, 0.004140804536107323, 0.004140804536107323),
+                [0.5690175687416267, 0.342038530469283, 0.06060606060639379],
+                [0.0, 0.0, 0.06060606060606061]),
+    0.4 / 1.4: ((0.0, 0.041685152500474776, 0.041685152500474776),
+                [0.36350762678240484, 0.525381262110497, 0.19047619047705036],
+                [0.0, 0.0, 0.19047619047619055]),
+    0.999: ((0.0, 0.9552898221877726, 0.9552898221877726),
+            [0.0211900581655112, 0.02096248743320165, 0.6659999999999997],
+            [0.0, 0.0, 0.6659999999999997]),
+}
+
+
+@pytest.mark.parametrize("eps", sorted(GOLDEN_LONG_TAIL))
+def test_golden_delta_long_tail(eps, monkeypatch):
+    sweeps = []
+    refine = moduli.refine_pair_on_sphere
+
+    def counting(space, f, x0, t0, project, step0):
+        sweeps.append(0)
+
+        def counted(xc, tc):  # one projection call per sweep
+            sweeps[-1] += 1
+            return project(xc, tc)
+
+        return refine(space, f, x0, t0, counted, step0)
+
+    monkeypatch.setattr(moduli, "refine_pair_on_sphere", counting)
+    space = lc.LatticeSpace(3, lc.Scale(1.5, lc.builtin_space("l2_3").norm))
+    est = lc.delta_m(space, eps, None, 200_000)
+    triple, wx, wy = GOLDEN_LONG_TAIL[eps]
+    assert (est.lower, est.estimate, est.upper) == triple
+    assert np.array_equal(est.witnesses[0], wx) and np.array_equal(est.witnesses[1], wy)
+    assert len(sweeps) == 1 and sweeps[0] <= 300
+
+
+@pytest.mark.xfail(strict=True, reason="_refine_delta admits y just below the constraint "
+                   "||y|| = eps, so the attained side undercuts the true value 1")
+def test_delta_at_one_is_not_undercut():
+    assert lc.delta_m(lc.lp_space(2, 1.5), 1.0, pair_budget=4000).upper >= 1.0

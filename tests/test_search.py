@@ -1,8 +1,9 @@
 """The engine's two stages.  Net pair scans: a symmetric objective scanned
 over the pairs j >= i gives what the full scan gives, and the best pair is
 the lexicographically smallest optimizer.  Lockstep multi-start refinement:
-S starts refined in one call give, start for start, what S single-start
-calls give."""
+S starts refined in one call return the best of S single-start calls, and
+every start ends where its single-start call ends or, stopped early, on a
+worse value."""
 
 import itertools
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import latconst as lc
+import latconst.moduli as moduli
 import latconst.search as search
 from latconst.nets import half_sphere_net, positive_face_net, support_pairs
 from latconst.search import refine_pair_on_sphere, scan_pairs, sphere_projection
@@ -158,15 +160,26 @@ def _unit_rows(space, rng, count, positive, support=None):
 
 def _assert_lockstep_matches_single_starts(space, objective, x0, y0, project, step0,
                                            support_x, support_y, maximize, tol):
+    """The lockstep call returns the best single-start run's value and
+    witness; every other start ends where its single-start run ends, or was
+    stopped early on a strictly worse value.  Returns the stopped starts."""
+    sign = -1.0 if maximize else 1.0
     best, bx, by, (vals, xs, ys) = refine_pair_on_sphere(
         space, objective, x0, y0, project, step0, maximize=maximize,
         support_x=support_x, support_y=support_y)
     assert isinstance(best, float)
+    singles, stopped = [], []
     for s in range(len(x0)):
         val, x, y, _ = refine_pair_on_sphere(
             space, objective, x0[s], y0[s], project, step0[s], maximize=maximize,
             support_x=support_x[s], support_y=support_y[s])
-        if tol == 0.0:
+        singles.append((val, x, y))
+        # a start that went on ends on its single-start value and witness;
+        # one stopped early reports a value no better than that
+        assert sign * vals[s] >= sign * val - tol, s
+        if sign * vals[s] > sign * val + tol:
+            stopped.append(s)
+        elif tol == 0.0:
             assert val == vals[s], s
             assert np.array_equal(x, xs[s]) and np.array_equal(y, ys[s]), s
         else:
@@ -176,8 +189,15 @@ def _assert_lockstep_matches_single_starts(space, objective, x0, y0, project, st
     moved = np.any(xs != x0, axis=1) | np.any(ys != y0, axis=1)
     assert np.count_nonzero(moved) >= 2
     k = int(np.argmax(vals) if maximize else np.argmin(vals))
-    assert best == vals[k]
+    assert best == vals[k] and k not in stopped
     assert np.array_equal(bx, xs[k]) and np.array_equal(by, ys[k])
+    # the best start is the best single-start run, the earliest on ties
+    val, x, y = singles[int(np.argmin([sign * v for v, _, _ in singles]))]
+    if tol == 0.0:
+        assert best == val and np.array_equal(bx, x) and np.array_equal(by, y)
+    else:
+        assert abs(best - val) <= tol
+    return stopped
 
 
 def test_lockstep_beta_blocks_on_block_sum():
@@ -216,14 +236,63 @@ def test_lockstep_beta_blocks_on_block_sum():
     assert np.array_equal(xs[-1], x0[-1]) and np.array_equal(ys[-1], y0[-1])
 
 
-def test_lockstep_full_sphere_on_lp():
+def _full_sphere_starts():
     space = lc.lp_space(3, 3)
     rng = np.random.default_rng(5)
     x0, y0 = _unit_rows(space, rng, 5, False), _unit_rows(space, rng, 5, False)
-    for maximize in (False, True):
-        _assert_lockstep_matches_single_starts(
-            space, _schaffer(space), x0, y0, sphere_projection(space, positive=False),
-            [0.2, 0.2, 0.1, 0.1, 0.05], [None] * 5, [None] * 5, maximize, tol=0.0)
+    return space, x0, y0, sphere_projection(space, positive=False), [0.2, 0.2, 0.1, 0.1, 0.05]
+
+
+def test_lockstep_full_sphere_on_lp():
+    space, x0, y0, project, steps = _full_sphere_starts()
+    stopped = {
+        maximize: _assert_lockstep_matches_single_starts(
+            space, _schaffer(space), x0, y0, project, steps, [None] * 5, [None] * 5,
+            maximize, tol=0.0)
+        for maximize in (False, True)}
+    # minimizing, three starts creep towards the best start too slowly to
+    # reach it before the sweep cap, and stop early
+    assert stopped == {False: [1, 2, 4], True: []}
+
+
+def test_lone_and_idle_starts_are_never_stopped(monkeypatch):
+    # a start refined alone is the best start, so it runs as if the stall
+    # rule did not exist, also one that lockstep stops early
+    space, x0, y0, project, steps = _full_sphere_starts()
+    f = _schaffer(space)
+    *_, (vals, _, _) = refine_pair_on_sphere(space, f, x0, y0, project, steps)
+    alone = [refine_pair_on_sphere(space, f, x0[s], y0[s], project, steps[s])
+             for s in (1, 2, 4)]
+    monkeypatch.setattr(search, "_STALL_SWEEPS", search._MAX_SWEEPS + 1)
+    for s, (val, x, y, _) in zip((1, 2, 4), alone):
+        ruleless, rx, ry, _ = refine_pair_on_sphere(space, f, x0[s], y0[s], project, steps[s])
+        assert val == ruleless < vals[s], s
+        assert np.array_equal(x, rx) and np.array_equal(y, ry), s
+    monkeypatch.undo()
+
+    # a start that gained nothing over a window goes on: in delta_m(l15_2)
+    # at eps = 1 the start that ends best still sits at its initial value
+    # after the first window, behind another start, and only then moves
+    calls = []
+    refine = moduli.refine_pair_on_sphere
+
+    def spy(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(moduli, "refine_pair_on_sphere", spy)
+    est = lc.delta_m(lc.lp_space(2, 1.5), 1.0, None, 4000)
+    [(space, f, x0, t0, project, step0)] = calls
+
+    def single(s):
+        return refine(space, f, x0[s], t0[s], project, step0)[0]
+
+    final = [single(s) for s in range(len(x0))]
+    monkeypatch.setattr(search, "_MAX_SWEEPS", search._STALL_SWEEPS)
+    first_window = [single(s) for s in range(len(x0))]
+    b = int(np.argmin(final))
+    assert est.upper == final[b] == 0.9999999998730015
+    assert first_window[b] == f(x0, t0)[b] > min(first_window)
 
 
 def test_lockstep_formmax_within_rounding():
