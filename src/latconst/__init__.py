@@ -48,7 +48,6 @@ from .moduli import (
     BridgeReport,
     Characteristic,
     CheckResult,
-    IdentityReport,
     ModulusCurve,
     characteristic,
     delta_curve,

@@ -41,7 +41,6 @@ __all__ = [
     "Characteristic",
     "CheckResult",
     "CheckReport",
-    "IdentityReport",
     "BridgeReport",
     "sigma",
     "delta_m",
@@ -128,9 +127,6 @@ class CheckReport:
     def lines(self) -> list[str]:
         return [f"[{'INFO' if c.informational else 'PASS' if c.passed else 'FAIL'}] {c.name}"
                 for c in self.checks]
-
-
-IdentityReport = CheckReport
 
 
 @dataclass

@@ -18,8 +18,10 @@ both arguments, because single moves stall at edges of polyhedral objectives.
 All seeds are refined in lockstep: a sweep moves every seed still running,
 as one vectorized batch mapped back to the feasible set by a projection step
 (radial onto the sphere, or one supplied by the caller), while each seed
-keeps its own best value, step and sweep cap.  A seed whose recent gain
-cannot carry it to the best seed's value before the cap stops early, so the
+keeps its own best value, step and sweep cap.  A seed behind the best seed
+stops early when its recent gain cannot carry it to the best seed's value
+before the cap, or is too small to move the enclosure (``certified_extremum``
+sets that tolerance to ``_GAIN_TOL`` of the width before refinement); so the
 best seed ends where a search from it alone would and the others no better.
 """
 
@@ -48,6 +50,9 @@ _EPS_IMPROVE = 1e-15
 _MAX_SWEEPS = 3000
 _STALL_SWEEPS = 25
 _STEP_MIN = 1e-11
+# share of the pre-refinement enclosure width below which a non-best start's
+# gain over a stall window stops it (certified_extremum only)
+_GAIN_TOL = 1e-3
 
 
 def scan_pairs(
@@ -168,6 +173,7 @@ def refine_pair_on_sphere(
     maximize: bool = False,
     support_x: Support = None,
     support_y: Support = None,
+    tol: float = 0.0,
 ) -> tuple[float, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Projected coordinate search with step halving, from S starts in lockstep.
 
@@ -182,14 +188,16 @@ def refine_pair_on_sphere(
     Each sweep moves every start whose step is still at least ``_STEP_MIN``,
     through one projection and one objective call on all their candidates.
     A start keeps its own best value and step, and stops after
-    ``_MAX_SWEEPS`` sweeps.  Every ``_STALL_SWEEPS`` sweeps, a start that
-    gained over the last window but, at that rate, cannot close its gap to
-    the best start in the sweeps left stops too; the best start, a start
-    refined alone and a start with no recent gain go on.  So the returned
-    best value and witness are those of the best single-start call (unless
-    a stopped start would later have outrun its recent rate), and a stopped
-    start reports a value no better than its single-start call gives (row
-    for row, whenever the norm evaluates rows independently).
+    ``_MAX_SWEEPS`` sweeps.  Every ``_STALL_SWEEPS`` sweeps, a start behind
+    the best start that gained over the last window stops too when, at that
+    rate, it cannot close its gap in the sweeps left, or when its gain over
+    the window is below ``tol`` (the default 0 turns this second test off);
+    the best start, a start refined alone and a start with no recent gain
+    go on.  So the returned best value and witness are those of the best
+    single-start call (unless a stopped start would later have outrun its
+    recent rate or its small gains), and a stopped start reports a value no
+    better than its single-start call gives (row for row, whenever the norm
+    evaluates rows independently).
 
     Returns the value and witness pair of the best start (the earliest one
     on ties), then the per-start values and witnesses.
@@ -206,8 +214,11 @@ def refine_pair_on_sphere(
     moves = dx.shape[0]
     for done in range(_MAX_SWEEPS):
         if done and done % _STALL_SWEEPS == 0:
-            rate = (fwindow - fbest) / _STALL_SWEEPS
-            step[(rate > 0) & (fbest - fbest.min() > rate * (_MAX_SWEEPS - done))] = 0.0
+            gain = fwindow - fbest
+            rate = gain / _STALL_SWEEPS
+            gap = fbest - fbest.min()
+            step[(rate > 0) & (gap > 0)
+                 & ((gap > rate * (_MAX_SWEEPS - done)) | (gain < tol))] = 0.0
             fwindow = fbest.copy()
         active = np.flatnonzero(step >= _STEP_MIN)
         if active.size == 0:
@@ -276,6 +287,11 @@ def certified_extremum(
     ``symmetric`` passes to every block's ``scan_pairs``: the objective is
     symmetric in its arguments and each block pairs one net with itself, so
     the scan evaluates only the pairs j >= i and mirrors the seeds.
+
+    A refined seed behind the best one stops once its gain over a stall
+    window is below ``_GAIN_TOL`` of the width before refinement (best net
+    value against the certified bound): gains that small cannot move the
+    enclosure, and the best seed runs on as it would alone.
     """
     sign = -1.0 if maximize else 1.0
     bound = np.inf  # signed, so both senses minimize
@@ -296,5 +312,6 @@ def certified_extremum(
     best, wx, wy, _ = refine_pair_on_sphere(
         space, objective, np.array(x0), np.array(y0), sphere_projection(space, positive),
         step0, maximize=maximize, support_x=list(support_x), support_y=list(support_y),
+        tol=_GAIN_TOL * (best_net - bound),
     )
     return sign * bound, sign * min(sign * best, best_net), (wx, wy)

@@ -3,7 +3,8 @@ over the pairs j >= i gives what the full scan gives, and the best pair is
 the lexicographically smallest optimizer.  Lockstep multi-start refinement:
 S starts refined in one call return the best of S single-start calls, and
 every start ends where its single-start call ends or, stopped early, on a
-worse value."""
+worse value; a gain tolerance stops creeping starts behind the best one and
+leaves the engine's enclosures as they were."""
 
 import itertools
 
@@ -315,3 +316,112 @@ def test_lockstep_tie_goes_to_earliest_start():
         sphere_projection(space, positive=True), 0.1, support_x=(), support_y=())
     assert vals[1] == vals[2] == best < vals[0]
     assert np.array_equal(bx, e[0]) and np.array_equal(by, e[1])
+
+
+def _counted(project, sweeps):
+    """``project`` counting its calls, one per sweep, in a new entry of
+    ``sweeps``."""
+    sweeps.append(0)
+
+    def counted(xc, tc):
+        sweeps[-1] += 1
+        return project(xc, tc)
+
+    return counted
+
+
+# sweeps and per-start values of the lockstep calls on _full_sphere_starts,
+# by sense, recorded before the gain rule existed
+RULELESS = {
+    False: (518, [1.2599304515123098, 1.2615169862187565, 1.2614815164456648,
+                  1.2599210498948732, 1.2601746691829598]),
+    True: (155, [1.9999999999999996, 2.0, 1.9999999999999996, 1.9999999999999998,
+                 1.9999999999999987]),
+}
+
+
+def test_gain_rule_stops_creeping_starts():
+    space, x0, y0, project, steps = _full_sphere_starts()
+    f = _schaffer(space)
+    # tol = 0 is the call without the gain rule, bit for bit
+    for maximize, (count, values) in RULELESS.items():
+        sweeps = []
+        *_, (vals, _, _) = refine_pair_on_sphere(
+            space, f, x0, y0, _counted(project, sweeps), steps, maximize=maximize, tol=0.0)
+        assert sweeps == [count] and vals.tolist() == values, maximize
+
+    # maximizing, starts 2-4 creep towards 2 by less than 1e-9 a window and
+    # stop, no better than alone; the best start 1 runs on as alone
+    singles = [refine_pair_on_sphere(space, f, x0[s], y0[s], project, steps[s], maximize=True)
+               for s in range(5)]
+    sweeps = []
+    best, bx, by, (vals, xs, ys) = refine_pair_on_sphere(
+        space, f, x0, y0, _counted(project, sweeps), steps, maximize=True, tol=1e-9)
+    stopped = [s for s, (val, _, _, _) in enumerate(singles) if vals[s] < val]
+    assert stopped == [2, 3, 4] and sweeps[0] < RULELESS[True][0]
+    for s, (val, x, y, _) in enumerate(singles):
+        if s not in stopped:
+            assert vals[s] == val and np.array_equal(xs[s], x) and np.array_equal(ys[s], y), s
+    assert best == singles[1][0] == 2.0
+    assert np.array_equal(bx, singles[1][1]) and np.array_equal(by, singles[1][2])
+
+
+def test_gain_rule_spares_lone_and_idle_starts(monkeypatch):
+    # a start refined alone is the best start: no tolerance stops it
+    space, x0, y0, project, steps = _full_sphere_starts()
+    f = _schaffer(space)
+    for s, maximize in itertools.product(range(5), (False, True)):
+        val, x, y, _ = refine_pair_on_sphere(space, f, x0[s], y0[s], project, steps[s],
+                                             maximize=maximize)
+        tval, tx, ty, _ = refine_pair_on_sphere(space, f, x0[s], y0[s], project, steps[s],
+                                                maximize=maximize, tol=np.inf)
+        assert val == tval and np.array_equal(x, tx) and np.array_equal(y, ty), s
+
+    # a start with no gain over a window goes on: in delta_m(l15_2) at
+    # eps = 1 the start that ends best sits idle behind another start for
+    # the first window
+    calls = []
+    refine = moduli.refine_pair_on_sphere
+
+    def spy(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(moduli, "refine_pair_on_sphere", spy)
+    est = lc.delta_m(lc.lp_space(2, 1.5), 1.0, None, 4000)
+    [(space, f, x0, t0, project, step0)] = calls
+    for tol in (1e-3, np.inf):
+        assert refine(space, f, x0, t0, project, step0, tol=tol)[0] == est.upper, tol
+
+
+def test_gain_rule_keeps_planar_panel_enclosures(monkeypatch):
+    # the benchmark's panel of random 2-D FormMax norms: every engine
+    # constant comes out bit-identical with and without the gain rule
+    rng = np.random.default_rng(0)
+    panel = [lc.random_polyhedral2_space(rng) for _ in range(8)]
+    constants = {"lambda": lc.lambda_schaffer, "james": lc.james, "lambda_plus": lc.lambda_plus,
+                 "sigma(1)": lambda space: lc.sigma(space, 1.0), "beta": lc.beta}
+    sweeps = []
+    refine = search.refine_pair_on_sphere
+
+    def counting(space, f, x0, y0, project, *args, **kwargs):
+        return refine(space, f, x0, y0, _counted(project, sweeps), *args, **kwargs)
+
+    monkeypatch.setattr(search, "refine_pair_on_sphere", counting)
+
+    def run():
+        out = {}
+        for (k, space), (name, fn) in itertools.product(enumerate(panel), constants.items()):
+            sweeps.clear()
+            out[k, name] = fn(space), sum(sweeps)
+        return out
+
+    ruled = run()
+    monkeypatch.setattr(search, "_GAIN_TOL", 0.0)
+    ruleless = run()
+    for key, (est, _) in ruled.items():
+        ref = ruleless[key][0]
+        assert (est.lower, est.upper, est.estimate) == (ref.lower, ref.upper, ref.estimate), key
+        assert all(np.array_equal(a, b) for a, b in zip(est.witnesses, ref.witnesses)), key
+    # lambda on the 6th norm: a creeping mirror seed ran 2,900 sweeps
+    assert ruleless[5, "lambda"][1] > 2000 and ruled[5, "lambda"][1] <= 400
