@@ -45,7 +45,6 @@ from .core import (
     validate_lattice_norm,
 )
 from .moduli import (
-    BridgeReport,
     Characteristic,
     CheckResult,
     ModulusCurve,
@@ -55,7 +54,6 @@ from .moduli import (
     identity_battery,
     sigma,
     sigma_curve,
-    sigma_lambda_bridge,
 )
 from .nets import (
     DEFAULT_PAIR_BUDGET,

@@ -15,6 +15,10 @@ of the true problem may round to a net point that just misses it:
     lower = (net min over ||t*x|| >= eps - relax) - relax,
     relax = mesh_x + mesh_t.
 
+No eps enters that net stage (``_delta_scan``); each eps only selects from
+it.  So ``delta_curve``, ``identity_battery`` and ``characteristic`` share one
+across all their eps, with results bit-identical to separate ``delta_m`` calls.
+
 sigma is 1-Lipschitz in x and eps-Lipschitz in y, so its certificate slack
 is (1 + eps) * mesh.  Both moduli take values in [0, 1]; their intervals
 come from the constants' one enclosure step, ``constants._enclosure``,
@@ -41,14 +45,12 @@ __all__ = [
     "Characteristic",
     "CheckResult",
     "CheckReport",
-    "BridgeReport",
     "sigma",
     "delta_m",
     "sigma_curve",
     "delta_curve",
     "characteristic",
     "identity_battery",
-    "sigma_lambda_bridge",
 ]
 
 # Moduli are evaluated at many grid points per report, so their default
@@ -127,27 +129,6 @@ class CheckReport:
     def lines(self) -> list[str]:
         return [f"[{'INFO' if c.informational else 'PASS' if c.passed else 'FAIL'}] {c.name}"
                 for c in self.checks]
-
-
-@dataclass
-class BridgeReport:
-    """sigma(1) + 1 and the positive-pair constant are the same infimum;
-    this report compares the two independently run optimizations."""
-
-    sigma_one: ConstantEstimate
-    lam_plus: ConstantEstimate
-    difference: float
-    combined_slack: float
-    consistent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma_one": self.sigma_one.to_dict(),
-            "lambda_plus": self.lam_plus.to_dict(),
-            "difference": self.difference,
-            "combined_slack": self.combined_slack,
-            "consistent": self.consistent,
-        }
 
 
 def _check_eps(eps: float) -> float:
@@ -229,35 +210,56 @@ def _refine_delta(
     return val, x, t
 
 
-def delta_m(
-    space: LatticeSpace,
-    eps: float,
-    resolution: float | None = None,
-    pair_budget: int = DEFAULT_MODULI_BUDGET,
-) -> ConstantEstimate:
-    """Lower modulus of uniform monotonicity at eps (see module docs)."""
-    eps = _check_eps(eps)
-    if eps == 0.0:
-        # y = 0 is feasible and gives 1 - ||x|| = 0, exactly
-        return _exact("delta", 0.0, space, y_scale=0.0)
+def _delta_scan(space: LatticeSpace, resolution: float | None, pair_budget: int):
+    """The net stage of ``delta_m``, which no eps enters: the resolved step,
+    the sphere net, the box grid, the scan blocks (first net row, ||t*x||,
+    1 - ||(1-t)*x||) and, per nonzero support mask, the norms of the
+    coordinate sections of the net points."""
     resolution = resolve_resolution(
         "delta", space.dim, resolution, pair_budget,
         lambda n: face_point_count(space.dim, n) * (n + 1) ** space.dim)
     net = positive_face_net(space, resolution)
     tgrid = box_grid(space.dim, resolution)
-    mesh_t = 0.5 * float(resolution)
-    relax = net.mesh_norm + mesh_t
+    pts = net.points
+    block = max(1, int(2_000_000 // max(tgrid.shape[0], 1)) or 1)
+    one_minus_t = 1.0 - tgrid
+    blocks = []
+    for i0 in range(0, pts.shape[0], block):
+        xb = pts[i0 : i0 + block]
+        ynorm = space.norm_values(xb[:, None, :] * tgrid[None, :, :])
+        obj = 1.0 - space.norm_values(xb[:, None, :] * one_minus_t[None, :, :])
+        blocks.append((i0, ynorm, obj))
+    masks = [np.asarray(labels) for labels in itertools.product((0.0, 1.0), repeat=space.dim)]
+    sections = [(mask, space.norm_values(pts * mask[None, :])) for mask in masks[1:]]
+    return resolution, net, tgrid, blocks, sections
+
+
+def delta_m(
+    space: LatticeSpace,
+    eps: float,
+    resolution: float | None = None,
+    pair_budget: int = DEFAULT_MODULI_BUDGET,
+    *,
+    scan: list | None = None,
+) -> ConstantEstimate:
+    """Lower modulus of uniform monotonicity at eps (see module docs).  Calls
+    at many eps of one (space, resolution, pair_budget) share the net stage
+    through one ``scan`` list, which the first call that needs it fills."""
+    eps = _check_eps(eps)
+    if eps == 0.0:
+        # y = 0 is feasible and gives 1 - ||x|| = 0, exactly
+        return _exact("delta", 0.0, space, y_scale=0.0)
+    scan = [] if scan is None else scan
+    if not scan:
+        scan.append(_delta_scan(space, resolution, pair_budget))
+    resolution, net, tgrid, blocks, sections = scan[0]
+    relax = net.mesh_norm + 0.5 * float(resolution)
 
     pts = net.points
     m = tgrid.shape[0]
     relaxed_min = math.inf
     strict_candidates: list[tuple[float, int, int]] = []
-    block = max(1, int(2_000_000 // max(m, 1)) or 1)
-    one_minus_t = 1.0 - tgrid
-    for i0 in range(0, pts.shape[0], block):
-        xb = pts[i0 : i0 + block]
-        ynorm = space.norm_values(xb[:, None, :] * tgrid[None, :, :])
-        obj = 1.0 - space.norm_values(xb[:, None, :] * one_minus_t[None, :, :])
+    for i0, ynorm, obj in blocks:
         rel = obj[ynorm >= eps - relax]
         if rel.size:
             relaxed_min = min(relaxed_min, float(np.min(rel)))
@@ -278,11 +280,7 @@ def delta_m(
     # component seeds: the extreme points of the order interval [0, x] are the
     # coordinate sections of x, so also try y = (section of x) rescaled onto
     # the constraint surface, for every support pattern
-    for labels in itertools.product((0.0, 1.0), repeat=space.dim):
-        mask = np.asarray(labels)
-        if not mask.any():
-            continue
-        sec_norm = space.norm_values(pts * mask[None, :])
+    for mask, sec_norm in sections:
         ok = sec_norm >= eps
         if not np.any(ok):
             continue
@@ -308,7 +306,8 @@ def sigma_curve(space, eps_grid, resolution=None, pair_budget=DEFAULT_MODULI_BUD
 
 
 def delta_curve(space, eps_grid, resolution=None, pair_budget=DEFAULT_MODULI_BUDGET) -> ModulusCurve:
-    vals = [delta_m(space, e, resolution, pair_budget) for e in eps_grid]
+    scan: list = []
+    vals = [delta_m(space, e, resolution, pair_budget, scan=scan) for e in eps_grid]
     return ModulusCurve("delta", [float(e) for e in eps_grid], vals)
 
 
@@ -333,7 +332,8 @@ def characteristic(
     """
     if which not in ("delta", "sigma"):
         raise ValueError("which must be 'delta' or 'sigma'")
-    fn = delta_m if which == "delta" else sigma
+    # every delta of the bisection shares one net stage
+    fn = functools.partial(delta_m, scan=[]) if which == "delta" else sigma
 
     def g(e: float) -> float:
         return fn(space, e, resolution, pair_budget).estimate
@@ -368,28 +368,39 @@ def identity_battery(
     eps_grid=None,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_MODULI_BUDGET,
+    *,
+    memo: dict[tuple[str, float], ConstantEstimate] | None = None,
 ) -> CheckReport:
     """Verify every modulus identity/inequality on a grid, by certified
     estimates with tolerance 1e-2 (nothing is interpolated: identities with
-    shifted arguments trigger fresh modulus computations at those points)."""
+    shifted arguments trigger fresh modulus computations at those points).
+    Each modulus is computed once per eps, into ``memo`` when given: a dict
+    ("sigma" | "delta", eps) -> estimate of this space, resolution and budget."""
     if eps_grid is None:
         eps_grid = [k * 0.05 for k in range(21)]
     eps_grid = sorted(float(e) for e in eps_grid)
     if any(e < 0.0 or e > 1.0 for e in eps_grid):
         raise ValueError("eps grid must lie inside [0, 1]")
-    # each modulus is computed once per eps, however many checks read it
-    cache = functools.cache(lambda fn, e: fn(space, float(e), resolution, pair_budget))
-    sig = {e: cache(sigma, e).estimate for e in eps_grid}
-    dlt = {e: cache(delta_m, e).estimate for e in eps_grid}
+    memo = {} if memo is None else memo
+    scan: list = []
+
+    def cache(which: str, e: float) -> ConstantEstimate:
+        if (which, e) not in memo:
+            fn = sigma if which == "sigma" else functools.partial(delta_m, scan=scan)
+            memo[which, e] = fn(space, e, resolution, pair_budget)
+        return memo[which, e]
+
+    sig = {e: cache("sigma", e).estimate for e in eps_grid}
+    dlt = {e: cache("delta", e).estimate for e in eps_grid}
     lam = lambda_plus(space, resolution, pair_budget).estimate
     checks: list[CheckResult] = []
 
     checks.append(CheckResult(
-        "sigma_zero_at_zero", cache(sigma, 0.0).estimate == 0.0,
-        details={"value": cache(sigma, 0.0).estimate}))
+        "sigma_zero_at_zero", cache("sigma", 0.0).estimate == 0.0,
+        details={"value": cache("sigma", 0.0).estimate}))
     checks.append(CheckResult(
-        "delta_zero_at_zero", cache(delta_m, 0.0).estimate == 0.0,
-        details={"value": cache(delta_m, 0.0).estimate}))
+        "delta_zero_at_zero", cache("delta", 0.0).estimate == 0.0,
+        details={"value": cache("delta", 0.0).estimate}))
 
     diffs_s = [sig[b] - sig[a] for a, b in zip(eps_grid, eps_grid[1:])]
     checks.append(CheckResult(
@@ -409,7 +420,7 @@ def identity_battery(
     for e in eps_grid:
         if not (0.0 < e < 1.0):
             continue
-        lo = _ratio(cache(delta_m, e / (1.0 + e)).estimate)
+        lo = _ratio(cache("delta", e / (1.0 + e)).estimate)
         hi = _ratio(dlt[e])
         worst_lo = max(worst_lo, lo - sig[e])
         worst_hi = max(worst_hi, sig[e] - hi)
@@ -422,7 +433,7 @@ def identity_battery(
     worst = 0.0
     for e in eps_grid:
         s = sig[e]
-        d = cache(delta_m, e / (1.0 + s)).estimate
+        d = cache("delta", e / (1.0 + s)).estimate
         worst = max(worst, abs(d - s / (1.0 + s)))
     checks.append(CheckResult(
         "shifted_ratio_identity", worst <= _TOL_IDENTITY, details={"max_abs_dev": worst}))
@@ -433,19 +444,21 @@ def identity_battery(
         "lambda_plus_sigma_bound", worst <= _TOL_IDENTITY, details={"max_excess": worst}))
 
     # delta at 1/lambda_plus equals (lambda_plus - 1)/lambda_plus
-    d_at = cache(delta_m, 1.0 / lam).estimate
+    d_at = cache("delta", 1.0 / lam).estimate
     dev = abs(d_at - (lam - 1.0) / lam)
     checks.append(CheckResult(
         "delta_at_inverse_lambda_plus", dev <= _TOL_IDENTITY,
         details={"delta": d_at, "expected": (lam - 1.0) / lam, "abs_dev": dev}))
 
     # 1/(1 - delta(1/2)) <= lambda_plus
-    lhs = 1.0 / (1.0 - min(cache(delta_m, 0.5).estimate, 1.0 - 1e-12))
+    lhs = 1.0 / (1.0 - min(cache("delta", 0.5).estimate, 1.0 - 1e-12))
     checks.append(CheckResult(
         "lambda_plus_lower_from_delta_half", lhs <= lam + _TOL_IDENTITY,
         details={"lhs": lhs, "lambda_plus": lam}))
 
-    # characteristics: sandwich and vanishing of sigma at its characteristic
+    # characteristics: sandwich and vanishing of sigma at its characteristic;
+    # drop the battery's delta net stage before the characteristic builds one
+    scan.clear()
     char_d = characteristic(space, "delta", resolution, pair_budget=pair_budget)
     char_s = characteristic(space, "sigma", resolution, pair_budget=pair_budget)
     ctol = _TOL_IDENTITY
@@ -453,7 +466,7 @@ def identity_battery(
         "characteristic_sandwich",
         char_d.value <= char_s.value + ctol and char_s.value <= 2.0 * char_d.value + ctol,
         details={"eps0": char_d.value, "tilde_eps0": char_s.value}))
-    s_at = cache(sigma, min(char_s.value, 1.0)).estimate
+    s_at = cache("sigma", min(char_s.value, 1.0)).estimate
     checks.append(CheckResult(
         "sigma_vanishes_at_characteristic", s_at <= _CHAR_THRESHOLD + ctol,
         details={"sigma_at_characteristic": s_at, "threshold": _CHAR_THRESHOLD}))
@@ -476,17 +489,3 @@ def identity_battery(
                  "max_abs_dev": max(falsa.values()) if falsa else 0.0}))
 
     return CheckReport(checks)
-
-
-def sigma_lambda_bridge(
-    space: LatticeSpace,
-    resolution: float | None = None,
-    pair_budget: int = DEFAULT_MODULI_BUDGET,
-) -> BridgeReport:
-    """Check sigma(1) + 1 against the positive-pair constant: both are
-    inf ||x + y|| over S+ x S+, computed through independent code paths."""
-    s1 = sigma(space, 1.0, resolution, pair_budget)
-    lp_est = lambda_plus(space, resolution, pair_budget)
-    diff = abs(s1.estimate + 1.0 - lp_est.estimate)
-    slack = s1.width + lp_est.width
-    return BridgeReport(s1, lp_est, diff, slack, diff <= max(slack, 5e-3))

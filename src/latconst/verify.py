@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -65,8 +66,9 @@ def _moduli_budget(pair_budget: int) -> int:
 
 
 class SuiteContext:
-    """Shared caches so the criteria do not recompute the same constants:
-    one constant battery per catalog space."""
+    """Shared caches so the criteria do not recompute the same values: one
+    constant battery per catalog space, and per catalog space one memo of
+    moduli estimates at ``moduli_budget``, keyed (which, eps)."""
 
     def __init__(self, pair_budget: int = DEFAULT_PAIR_BUDGET, seed: int = 0):
         self.pair_budget = pair_budget
@@ -74,6 +76,7 @@ class SuiteContext:
         self.seed = seed
         self._spaces: dict[str, LatticeSpace] = {}
         self._batteries: dict[str, ConstantBattery] = {}
+        self.moduli: dict[str, dict[tuple[str, float], ConstantEstimate]] = defaultdict(dict)
 
     def space(self, name: str) -> LatticeSpace:
         if name not in self._spaces:
@@ -88,6 +91,13 @@ class SuiteContext:
 
     def constant(self, name: str, kind: str) -> ConstantEstimate:
         return self.battery(name).constants[kind]
+
+    def modulus(self, name: str, which: str, eps: float) -> float:
+        memo = self.moduli[name]
+        if (which, eps) not in memo:
+            fn = sigma if which == "sigma" else delta_m
+            memo[which, eps] = fn(self.space(name), eps, pair_budget=self.moduli_budget)
+        return memo[which, eps].estimate
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -203,7 +213,8 @@ def check_modulus_identities(ctx: SuiteContext) -> CheckResult:
     rows = {}
     ok = True
     for name in ("l1_3", "l2_3", "l3_3", "beta_gap"):
-        rep = identity_battery(ctx.space(name), grid, pair_budget=ctx.moduli_budget)
+        rep = identity_battery(ctx.space(name), grid, pair_budget=ctx.moduli_budget,
+                               memo=ctx.moduli[name])
         rows[name] = {c.name: c.passed for c in rep.checks if not c.informational}
         ok = ok and rep.passed
     return CheckResult("modulus_identities", ok, details=rows)
@@ -214,18 +225,12 @@ def check_modulus_closed_forms(ctx: SuiteContext) -> CheckResult:
     rows = {}
     ok = True
     for p, tag in ((1, "1"), (2, "2"), (3, "3")):
-        space = ctx.space(f"l{tag}_3")
-        dev_s = max(
-            abs(sigma(space, e, pair_budget=ctx.moduli_budget).estimate
-                - ((1.0 + e**p) ** (1.0 / p) - 1.0))
-            for e in grid
-        )
-        dev_d = max(
-            abs(delta_m(space, e, pair_budget=ctx.moduli_budget).estimate
-                - (1.0 - (1.0 - min(e, 1.0) ** p) ** (1.0 / p)))
-            for e in grid
-        )
-        rows[f"l{tag}_3"] = {"max_dev_sigma": dev_s, "max_dev_delta": dev_d}
+        name = f"l{tag}_3"
+        dev_s = max(abs(ctx.modulus(name, "sigma", e) - ((1.0 + e**p) ** (1.0 / p) - 1.0))
+                    for e in grid)
+        dev_d = max(abs(ctx.modulus(name, "delta", e)
+                        - (1.0 - (1.0 - min(e, 1.0) ** p) ** (1.0 / p))) for e in grid)
+        rows[name] = {"max_dev_sigma": dev_s, "max_dev_delta": dev_d}
         ok = ok and dev_s <= _IDENTITY_TOL and dev_d <= _IDENTITY_TOL
     return CheckResult("modulus_closed_forms", ok, details=rows)
 
@@ -234,12 +239,11 @@ def l1_section_discrepancy(ctx: SuiteContext) -> CheckResult:
     """Informational: computed l1-section moduli equal eps (both of them),
     which matches the shifted ratio identity; the alternative stated value
     1 - eps does not match the definitions as computed here."""
-    space = ctx.space("l1_2")
     samples = {}
     dev_eps = dev_alt = 0.0
     for e in (0.25, 0.5, 0.75):
-        d = delta_m(space, e, pair_budget=ctx.moduli_budget).estimate
-        s = sigma(space, e, pair_budget=ctx.moduli_budget).estimate
+        d = ctx.modulus("l1_2", "delta", e)
+        s = ctx.modulus("l1_2", "sigma", e)
         samples[e] = {"delta": d, "sigma": s}
         dev_eps = max(dev_eps, abs(d - e), abs(s - e))
         dev_alt = max(dev_alt, abs(d - (1.0 - e)))
@@ -256,9 +260,8 @@ def l1_section_discrepancy(ctx: SuiteContext) -> CheckResult:
 
 def check_ratio_formula_falsified(ctx: SuiteContext) -> CheckResult:
     """delta(eps) = sigma(eps)/(1 + sigma(eps)) is falsified on l1^2 at 1/2."""
-    space = ctx.space("l1_2")
-    d = delta_m(space, 0.5, pair_budget=ctx.moduli_budget).estimate
-    s = sigma(space, 0.5, pair_budget=ctx.moduli_budget).estimate
+    d = ctx.modulus("l1_2", "delta", 0.5)
+    s = ctx.modulus("l1_2", "sigma", 0.5)
     ratio = s / (1.0 + s)
     ok = (
         _close(d, 0.5, _IDENTITY_TOL)

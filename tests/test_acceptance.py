@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from latconst import moduli, verify
 from latconst.cli import main
 
 CRITERIA = [
@@ -74,3 +75,20 @@ def test_verify_cli_exit_and_schema(suite_report):
     assert set(doc) == {"space", "results", "certificates", "version"}
     names = {c["name"] for c in doc["results"]["checks"]}
     assert {c[0] for c in CRITERIA} <= names
+
+
+def test_suite_reads_moduli_from_the_battery(monkeypatch):
+    """The closed-form and l1-section criteria read the moduli the identity
+    battery and the first l1^2 criterion computed, at the one moduli budget."""
+    ctx = verify.SuiteContext(pair_budget=20_000)
+    verify.check_modulus_identities(ctx)
+    verify.l1_section_discrepancy(ctx)
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("a modulus was computed twice")
+
+    for module in (verify, moduli):
+        monkeypatch.setattr(module, "sigma", recomputed)
+        monkeypatch.setattr(module, "delta_m", recomputed)
+    verify.check_modulus_closed_forms(ctx)
+    verify.check_ratio_formula_falsified(ctx)

@@ -1,19 +1,28 @@
 """Monotonicity moduli: closed forms, characteristics, identities."""
 
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 from latconst import moduli
 from latconst import (
+    LatticeSpace,
+    Scale,
     beta_gap_space,
     characteristic,
+    delta_curve,
     delta_m,
     identity_battery,
+    lambda_plus,
     linf_space,
     lp_space,
+    permute_norm,
+    random_polyhedral2_space,
     sigma,
     sigma_curve,
-    sigma_lambda_bridge,
 )
 
 from oracles import delta_oracle, lp_norm, sigma_oracle
@@ -160,35 +169,191 @@ def test_sigma_curve_shape():
     assert all(0.0 <= v <= 1.0 for v in estimates)
 
 
-def test_bridge_lp():
-    rep = sigma_lambda_bridge(lp_space(2, 1.5))
-    assert rep.consistent
-    assert rep.sigma_one.estimate + 1.0 == pytest.approx(2.0 ** (1.0 / 1.5), abs=1e-3)
-    assert rep.difference <= 1e-6
+def _sigma_one_and_lambda_plus(space):
+    """sigma(1) + 1 and lambda_plus are one infimum over one net at equal
+    budgets: the same bits, up to the shift by 1."""
+    s1 = sigma(space, 1.0)
+    lam = lambda_plus(space, pair_budget=moduli.DEFAULT_MODULI_BUDGET)
+    assert s1.info["resolution"] == lam.info["resolution"]
+    assert s1.estimate + 1.0 == lam.estimate
+    assert s1.lower + 1.0 == lam.lower
+    return s1, lam
 
 
-def test_bridge_linf3():
-    rep = sigma_lambda_bridge(linf_space(3))
-    assert rep.consistent
-    assert rep.sigma_one.estimate + 1.0 == pytest.approx(1.0, abs=1e-6)
-    assert rep.lam_plus.estimate == pytest.approx(1.0, abs=1e-6)
+def test_sigma_one_is_lambda_plus_lp():
+    s1, _ = _sigma_one_and_lambda_plus(lp_space(2, 1.5))
+    assert s1.estimate + 1.0 == pytest.approx(2.0 ** (1.0 / 1.5), abs=1e-3)
 
 
-def test_bridge_gap_norm():
-    # two independently coded optimizations of the same infimum
-    rep = sigma_lambda_bridge(beta_gap_space())
-    assert rep.consistent
-    assert rep.difference <= 1e-6
+def test_sigma_one_is_lambda_plus_linf3():
+    s1, lam = _sigma_one_and_lambda_plus(linf_space(3))
+    assert s1.estimate + 1.0 == pytest.approx(1.0, abs=1e-6)
+    assert lam.estimate == pytest.approx(1.0, abs=1e-6)
 
 
-def test_bridge_and_battery_pass_their_budget_on(monkeypatch):
-    # sigma(1) + 1 and lambda_plus are one infimum over one net when both
-    # run at the caller's budget
-    bridge = sigma_lambda_bridge(lp_space(3, 2))
-    assert bridge.lam_plus.info["resolution"] == bridge.sigma_one.info["resolution"]
+def test_sigma_one_is_lambda_plus_gap_norm():
+    _sigma_one_and_lambda_plus(beta_gap_space())
+
+
+def test_battery_passes_its_budget_on(monkeypatch):
     calls = []
     real = moduli.lambda_plus
     monkeypatch.setattr(moduli, "lambda_plus", lambda *args: calls.append(args[1:]) or real(*args))
     identity_battery(lp_space(3, 2), [0.0, 1.0], 0.25, 200000)
-    sigma_lambda_bridge(lp_space(2, 2), 0.1, 5000)
-    assert calls == [(0.25, 200000), (0.1, 5000)]
+    assert calls == [(0.25, 200000)]
+
+
+# ---------------------------------------------------------------------------
+# delta's shared net stage
+# ---------------------------------------------------------------------------
+
+_SHARE_BUDGET = 20_000
+_SHARE_GRID = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+
+
+def _share_spaces():
+    l2 = lp_space(3, 2)
+    workload_l2 = LatticeSpace(3, Scale(1.5, permute_norm(l2.norm, (2, 0, 1))))
+    return {
+        "scaled_l2_3": workload_l2,
+        "beta_gap": beta_gap_space(),
+        "l1_3": lp_space(3, 1),
+        "l15_2": lp_space(2, 1.5),
+        "formmax2": random_polyhedral2_space(np.random.default_rng(11)),
+    }
+
+
+def _bits(est):
+    return est.to_dict(), est.info, [w.tobytes() for w in est.witnesses]
+
+
+def _record_delta(monkeypatch):
+    """(eps, result) of every delta_m call, in call order."""
+    out = []
+    real = moduli.delta_m
+
+    def spy(space, eps, *args, **kwargs):
+        est = real(space, eps, *args, **kwargs)
+        out.append((eps, _bits(est)))
+        return est
+
+    monkeypatch.setattr(moduli, "delta_m", spy)
+    return out
+
+
+@pytest.mark.parametrize("name", list(_share_spaces()))
+def test_shared_scan_equals_independent_calls(name, monkeypatch):
+    space = _share_spaces()[name]
+    alone = {}
+
+    def check(calls):
+        for e, bits in calls:
+            if e not in alone:
+                alone[e] = _bits(delta_m(space, e, None, _SHARE_BUDGET))
+            assert bits == alone[e], e
+
+    with monkeypatch.context() as m:
+        calls = _record_delta(m)
+        curve = delta_curve(space, _SHARE_GRID, None, _SHARE_BUDGET)
+    assert [e for e, _ in calls] == _SHARE_GRID
+    assert [_bits(v) for v in curve.values] == [bits for _, bits in calls]
+    check(calls)
+    with monkeypatch.context() as m:
+        calls = _record_delta(m)
+        characteristic(space, "delta", None, _SHARE_BUDGET)
+    assert len(calls) > 5
+    check(calls)
+    memo = {}
+    with monkeypatch.context() as m:
+        calls = _record_delta(m)
+        identity_battery(space, _SHARE_GRID, None, _SHARE_BUDGET, memo=memo)
+    # the grid, the shifted arguments, 1/lambda_plus and the characteristic
+    assert len(calls) > 2 * len(_SHARE_GRID)
+    check(calls)
+    deltas = {e: _bits(est) for (which, e), est in memo.items() if which == "delta"}
+    assert deltas == {e: alone[e] for e in deltas}
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    real = moduli.box_grid
+    monkeypatch.setattr(moduli, "box_grid", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_delta_curve_builds_one_scan(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    space = lp_space(3, 2)
+    delta_curve(space, [k / 10 for k in range(1, 10)], None, _SHARE_BUDGET)
+    assert len(scans) == 1
+    delta_curve(space, [0.0, 0.0], None, _SHARE_BUDGET)
+    assert len(scans) == 1
+    characteristic(space, "delta", None, _SHARE_BUDGET)
+    assert len(scans) == 2
+    # the battery's own scan, then the one of its delta characteristic
+    identity_battery(space, [0.0, 0.5, 1.0], None, _SHARE_BUDGET)
+    assert len(scans) == 4
+
+
+def test_battery_never_holds_two_scans(monkeypatch):
+    # every scan is gone before the next is built, and none outlives its call
+    alive = []
+    real = moduli._delta_scan
+
+    def spy(*args):
+        assert not any(ref() is not None for ref in alive)
+        scan = real(*args)
+        _, _, _, blocks, _ = scan
+        alive.append(weakref.ref(blocks[0][1]))
+        return scan
+
+    monkeypatch.setattr(moduli, "_delta_scan", spy)
+    identity_battery(lp_space(3, 2), [0.0, 0.5, 1.0], None, _SHARE_BUDGET)
+    assert len(alive) == 2
+    assert not any(ref() is not None for ref in alive)
+
+
+def test_delta_curve_is_thread_safe():
+    # each curve holds its own net stage: threads on one space cannot mix them
+    space = lp_space(3, 2)
+    grid = [k / 10 for k in range(10)]
+    serial = [_bits(v) for v in delta_curve(space, grid, None, _SHARE_BUDGET).values]
+    results = [None] * 3
+
+    def run(k):
+        results[k] = [_bits(v) for v in delta_curve(space, grid, None, _SHARE_BUDGET).values]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * len(results)
+
+
+def test_battery_memo_is_read_and_filled(monkeypatch):
+    space = lp_space(2, 2)
+    grid = [0.0, 0.5, 1.0]
+    memo = {}
+    first = identity_battery(space, grid, None, _SHARE_BUDGET, memo=memo)
+    assert {("sigma", e) for e in grid} | {("delta", e) for e in grid} <= set(memo)
+    assert all(est.info.get("eps", 0.0) == e for (_, e), est in memo.items() if e > 0.0)
+    before = dict(memo)
+    calls = []
+    for fn in ("sigma", "delta_m"):
+        real = getattr(moduli, fn)
+        monkeypatch.setattr(moduli, fn, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+    again = identity_battery(space, grid, None, _SHARE_BUDGET, memo=memo)
+    assert again.to_dict() == first.to_dict()
+    assert memo == before
+    # with a full memo, only the characteristics' bisections compute moduli
+    n_battery = len(calls)
+    characteristic(space, "delta", None, _SHARE_BUDGET)
+    characteristic(space, "sigma", None, _SHARE_BUDGET)
+    assert n_battery == len(calls) - n_battery
