@@ -3,12 +3,12 @@
     latconst constants --spec FILE
     latconst moduli    --spec FILE [--eps-grid a:b:step] [--format json|csv]
     latconst verify    (--spec FILE | --builtin-suite) [--eps-grid a:b:step]
-    latconst embed     --spec FILE [--tol T]
+    latconst embed     --spec FILE [--tol T]           (0 <= T < 1)
 
-Every command also takes --h H, --seed S, --out F and --pair-budget N (per
-constant, or per modulus grid point for moduli; verify runs its moduli at
-min(N, DEFAULT_MODULI_BUDGET) per grid point); an option is registered only
-on the commands that read it.
+Every command also takes --h H (0 < H <= 1), --seed S, --out F and
+--pair-budget N (per constant, or per modulus grid point for moduli; verify
+runs its moduli at min(N, DEFAULT_MODULI_BUDGET) per grid point); an option
+is registered only on the commands that read it.
 Machine output goes to stdout (or --out); human diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 malformed spec, 3 budget
 exceeded, 4 no embedding pair with small enough defect.  Output is
@@ -52,8 +52,8 @@ def _parse_eps_grid(text: str) -> list[float]:
         a, b, step = (float(part) for part in text.split(":"))
     except ValueError:
         raise InvalidNormError(f"--eps-grid expects a:b:step, got {text!r}") from None
-    if step <= 0 or b < a:
-        raise InvalidNormError(f"--eps-grid needs step > 0 and b >= a, got {text!r}")
+    if not (0.0 < step < float("inf") and a <= b):  # also false when one is nan
+        raise InvalidNormError(f"--eps-grid needs finite a, b and step > 0, b >= a, got {text!r}")
     if a < 0.0 or b > 1.0:
         raise InvalidNormError("eps grid must lie inside [0, 1]")
     out = []
@@ -62,6 +62,13 @@ def _parse_eps_grid(text: str) -> list[float]:
         out.append(min(a + k * step, b))
         k += 1
     return out
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    if args.resolution is not None and not 0.0 < args.resolution <= 1.0:  # nan fails too
+        raise InvalidNormError(f"--h must lie in (0, 1], got {args.resolution}")
+    if not 0.0 <= getattr(args, "tol", 0.0) < 1.0:
+        raise InvalidNormError(f"--tol must lie in [0, 1), got {args.tol}")
 
 
 def _load_space(args: argparse.Namespace) -> LatticeSpace:
@@ -216,6 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         "embed": cmd_embed,
     }
     try:
+        _check_options(args)
         return handlers[args.command](args)
     except (InvalidNormError, DimensionMismatchError, UnsupportedDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,10 +60,10 @@ def scan_pairs(
     xs: np.ndarray,
     ys: np.ndarray,
     values: Objective,
-    maximize: bool = False,
+    maximize: bool | tuple[bool, ...] = False,
     top_k: int = 1,
     symmetric: bool = False,
-) -> tuple[float, list[tuple[float, int, int]]]:
+):
     """Extremum of ``values`` over all net pairs, plus the top-k seed pairs.
 
     ``values(X, Y)`` is called on a block of rows ``X = xb[:, None, :]``
@@ -71,6 +71,11 @@ def scan_pairs(
     matrix.  Blocks are visited in row order and each contributes its first
     minimum (maximum) besides its top k, so the reported best pair is the
     lexicographically smallest optimizer.
+
+    Several senses share one scan when ``maximize`` is a tuple: ``values``
+    then returns one matrix per sense from one evaluation of the block, and
+    the result is a list with one (extremum, top-k) per sense, each what a
+    scan of that matrix alone returns.
 
     ``symmetric`` declares ``values(X, Y) == values(Y, X)`` bit for bit on
     one net paired with itself (``xs is ys``).  Then a block of rows
@@ -83,35 +88,44 @@ def scan_pairs(
     if symmetric and xs is not ys:
         raise ValueError("a symmetric scan pairs one net with itself (xs is ys)")
     m = ys.shape[0]
-    sign = -1.0 if maximize else 1.0
-    candidates: list[tuple[float, int, int]] = []
+    multi = isinstance(maximize, tuple)
+    signs = [-1.0 if sense else 1.0 for sense in (maximize if multi else (maximize,))]
+    found: list[list[tuple[float, int, int]]] = [[] for _ in signs]
     block = max(1, min(256, int(5_000_000 // max(m, 1)) or 1))
     below = np.tri(block, k=-1, dtype=bool)  # the entries j < i of a diagonal square
     for i0 in range(0, xs.shape[0], block):
         b = min(block, xs.shape[0] - i0)
         j0 = i0 if symmetric else 0
-        # a signed copy, also when minimizing: scanning in place let the heap
-        # shrink and regrow between blocks, and the refinement that follows
-        # paid for it in page faults (moduli workload: 103k -> 162k a pass)
-        vals = sign * np.asarray(values(xs[i0 : i0 + block, None, :], ys[None, j0:, :]))
-        live = vals.size
-        if symmetric:
-            vals[:, :b][below[:b, :b]] = np.inf
-            live -= b * (b - 1) // 2
-        flat = vals.ravel()
-        k = min(top_k, live)
-        idx = np.argpartition(flat, k - 1)[:k] if k < flat.size else np.arange(flat.size)
-        # argpartition keeps an arbitrary subset of tied values; the first
-        # occurrence keeps the lexicographic tie rule
-        idx = np.union1d(idx, np.argmin(flat))
         w = m - j0
-        candidates.extend((float(flat[j]), i0 + int(j) // w, j0 + int(j) % w) for j in idx)
-    if symmetric:
-        candidates.extend([(v, j, i) for v, i, j in candidates if i != j])
-    # the candidates are distinct pairs and hold the minimum of every block,
-    # so the first sorted candidate is the best
-    candidates.sort()
-    return sign * candidates[0][0], [(sign * v, i, j) for v, i, j in candidates[:top_k]]
+        live = b * w - (b * (b - 1) // 2 if symmetric else 0)
+        mats = values(xs[i0 : i0 + block, None, :], ys[None, j0:, :])
+        mats = list(mats) if multi else [mats]
+        for sign, candidates in zip(signs, found):
+            # signed, also when minimizing, and popped so that the list held the
+            # only reference and numpy may reuse the buffer (temporary elision):
+            # the heap this leaves sets the page faults of the refinement that
+            # follows, and a moduli pass's minor faults went from 103k to 162k
+            # when scanning in place, and from 10k-35k to 65k with a second
+            # reference to the evaluated block
+            vals = sign * np.asarray(mats.pop(0))
+            if symmetric:
+                vals[:, :b][below[:b, :b]] = np.inf
+            flat = vals.ravel()
+            k = min(top_k, live)
+            idx = np.argpartition(flat, k - 1)[:k] if k < flat.size else np.arange(flat.size)
+            # argpartition keeps an arbitrary subset of tied values; the first
+            # occurrence keeps the lexicographic tie rule
+            idx = np.union1d(idx, np.argmin(flat))
+            candidates.extend((float(flat[j]), i0 + int(j) // w, j0 + int(j) % w) for j in idx)
+    for candidates in found:
+        if symmetric:
+            candidates.extend([(v, j, i) for v, i, j in candidates if i != j])
+        # the candidates are distinct pairs and hold the minimum of every block,
+        # so the first sorted candidate is the best
+        candidates.sort()
+    results = [(sign * c[0][0], [(sign * v, i, j) for v, i, j in c[:top_k]])
+               for sign, c in zip(signs, found)]
+    return results if multi else results[0]
 
 
 def _move_directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,6 +286,7 @@ def certified_extremum(
     top_k: int = 1,
     refine: int = 1,
     symmetric: bool = False,
+    scans: list[tuple] | None = None,
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
     """Certified inf (sup when ``maximize``) of ``objective`` over unit-sphere
     pairs, from net scans of the blocks and refinement of the best seeds.
@@ -287,6 +302,7 @@ def certified_extremum(
     ``symmetric`` passes to every block's ``scan_pairs``: the objective is
     symmetric in its arguments and each block pairs one net with itself, so
     the scan evaluates only the pairs j >= i and mirrors the seeds.
+    ``scans`` gives each block's ``scan_pairs`` result when it is already known.
 
     A refined seed behind the best one stops once its gain over a stall
     window is below ``_GAIN_TOL`` of the width before refinement (best net
@@ -298,8 +314,8 @@ def certified_extremum(
     best_net = np.inf
     seeds: list[tuple[float, int, int, int]] = []
     for b, (xs, ys, slack, _, _, _) in enumerate(blocks):
-        val, top = scan_pairs(space, xs, ys, objective, maximize=maximize, top_k=top_k,
-                              symmetric=symmetric)
+        val, top = scans[b] if scans else scan_pairs(
+            space, xs, ys, objective, maximize=maximize, top_k=top_k, symmetric=symmetric)
         bound = min(bound, sign * val - slack)
         best_net = min(best_net, sign * val)
         seeds.extend((sign * v, b, i, j) for v, i, j in top)

@@ -113,12 +113,29 @@ def test_tol_is_an_embed_option_only(tmp_path, capsys):
             main(argv + ["--spec", spec])
         assert exit_info.value.code == 2, argv
     capsys.readouterr()
-    # a malformed grid is still a spec error
-    for grid in ("0:1", "1:0:0.5", "0:2:0.5"):
+    # a malformed grid is still a spec error, also a non-finite one (verify
+    # checks it before computing anything)
+    for grid in ("0:1", "1:0:0.5", "0:2:0.5", "nan:1:0.1", "0:1:nan", "0:nan:0.1", "0:1:inf"):
         for command in ("moduli", "verify"):
             code, _, err = run_cli([command, "--spec", spec, "--eps-grid", grid], capsys)
             assert code == 2, (command, grid)
             assert err.startswith("error:"), (command, grid)
+
+
+def test_step_and_tol_ranges_are_checked(tmp_path, capsys):
+    # --h must be a step in (0, 1] and --tol lie in [0, 1); anything else,
+    # nan and inf included, is a usage error on every command that takes it
+    spec = write_spec(tmp_path, L2_2_SPEC)
+    cases = [(["constants", "--h", h], "--h") for h in ("0", "-1", "2", "nan", "inf")]
+    cases += [([command, "--h", "nan"], "--h") for command in ("moduli", "verify", "embed")]
+    cases += [(["embed", "--tol", tol], "--tol") for tol in ("nan", "inf", "2", "1", "-0.1")]
+    for argv, option in cases:
+        code, out, err = run_cli(argv + ["--spec", spec], capsys)
+        assert code == 2, argv
+        assert err.startswith("error:") and option in err.splitlines()[0], argv
+        assert out == "", argv
+    # the ends of the ranges are valid
+    assert run_cli(["embed", "--spec", spec, "--tol", "0", "--h", "1"], capsys)[0] == 0
 
 
 def test_moduli_pair_budget_is_honoured(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Sphere constants: published values, certificates, and invariances."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import latconst.constants as constants_module
 from latconst import (
+    BudgetExceededError,
     LatticeSpace,
     Scale,
     UnsupportedDimensionError,
@@ -13,6 +17,7 @@ from latconst import (
     beta,
     beta_gap_space,
     constant_battery,
+    direct_sum_l1,
     james,
     lambda_plus,
     lambda_schaffer,
@@ -203,6 +208,86 @@ def test_battery_gap_space_flags_strict_gap():
 def test_battery_rejects_dim1():
     with pytest.raises(UnsupportedDimensionError):
         constant_battery(lp_space(1, 2))
+
+
+# -- the battery's shared half-sphere scan ---------------------------------------
+
+SHARED_SCAN_SPACES = {
+    "l2_3": lp_space(3, 2),
+    "l15_3": lp_space(3, 1.5),
+    "beta_gap": beta_gap_space(),
+    "l2_2": lp_space(2, 2),
+    "planar": random_polyhedral2_space(np.random.default_rng(5)),
+    "direct_sum": direct_sum_l1(beta_gap_space(), 1),
+}
+# the budget-fitted step (several 256-row scan blocks on the 3-D and 4-D
+# nets), and an explicit step
+SHARED_SCAN_ARGS = ({"pair_budget": 2_000_000}, {"resolution": 0.25})
+
+
+def _record(est):
+    return est.to_dict(), est.info, [w.tobytes() for w in est.witnesses]
+
+
+def test_battery_full_sphere_constants_equal_independent_calls():
+    # the spaces run in turn, so a stage left over from one battery would
+    # also show here as another space's values
+    for kwargs in SHARED_SCAN_ARGS:
+        for name, space in SHARED_SCAN_SPACES.items():
+            battery = constant_battery(space, **kwargs)
+            for kind, fn in (("lambda", lambda_schaffer), ("james", james)):
+                want = _record(fn(space, **kwargs))
+                assert _record(battery.constants[kind]) == want, (name, kwargs, kind)
+
+
+def test_battery_builds_one_half_sphere_net(monkeypatch):
+    builds = []
+    build = constants_module.half_sphere_net
+
+    def spy(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(constants_module, "half_sphere_net", spy)
+    for space in (lp_space(3, 2), beta_gap_space()):
+        builds.clear()
+        constant_battery(space, pair_budget=200_000)
+        assert len(builds) == 1
+    # a call without a scan list builds its own net
+    builds.clear()
+    lambda_schaffer(lp_space(2, 2))
+    james(lp_space(2, 2))
+    assert len(builds) == 2
+
+
+def test_battery_scan_does_not_outlive_the_call(monkeypatch):
+    nets = []
+    build = constants_module.half_sphere_net
+
+    def spy(*args):
+        net = build(*args)
+        nets.append(weakref.ref(net))
+        return net
+
+    monkeypatch.setattr(constants_module, "half_sphere_net", spy)
+    battery = constant_battery(beta_gap_space(), pair_budget=200_000)
+    gc.collect()
+    assert len(nets) == 1 and nets[0]() is None
+    assert battery.constants["james"].info["net_points"] > 0
+
+
+def test_battery_over_budget_names_lambda():
+    space = beta_gap_space()
+    # a battery that fits runs first: its stage must not serve the next one
+    constant_battery(space, resolution=0.25)
+    with pytest.raises(BudgetExceededError) as err:
+        constant_battery(space, resolution=0.01, pair_budget=10**6)
+    assert str(err.value).startswith("lambda: resolution 0.01 needs ")
+    assert err.value.required_resolution == 0.125
+    with pytest.raises(BudgetExceededError) as err:
+        constant_battery(lp_space(2, 2), pair_budget=10)
+    assert str(err.value).startswith("lambda: ")
+    assert err.value.required_resolution is None
 
 
 # -- invariances ----------------------------------------------------------------

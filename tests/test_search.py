@@ -94,6 +94,24 @@ def test_symmetric_scan_matches_full_scan(name):
             assert stop[0][1:] == divmod(int(first), n) and sval == full.ravel()[first], case
 
 
+@pytest.mark.parametrize("name", sorted(SCAN_SPACES))
+def test_one_scan_in_several_senses_equals_one_scan_per_sense(name):
+    # lambda's and james's objectives from one evaluation of each block
+    space = SCAN_SPACES[name]
+
+    def both(X, Y):
+        a, b = space.norm_values(X - Y), space.norm_values(X + Y)
+        return np.maximum(a, b), np.minimum(a, b)
+
+    net = _net(space, "half")
+    for n, symmetric in itertools.product(NET_SIZES, (False, True)):
+        pts = net[:n]
+        shared = scan_pairs(space, pts, pts, both, (False, True), 10, symmetric)
+        alone = [scan_pairs(space, pts, pts, _schaffer(space), False, 10, symmetric),
+                 scan_pairs(space, pts, pts, _james(space), True, 10, symmetric)]
+        assert shared == alone, (n, symmetric)
+
+
 def test_symmetric_scan_tie_rule_on_l1():
     # ||x + y||_1 = 2 on every positive l1 unit pair; on points with dyadic
     # coordinates summing to 1 it is exactly 2.0, so every pair ties and the
