@@ -5,10 +5,10 @@
     latconst verify    (--spec FILE | --builtin-suite) [--eps-grid a:b:step]
     latconst embed     --spec FILE [--tol T]           (0 <= T < 1)
 
-Every command also takes --h H (0 < H <= 1), --seed S, --out F and
---pair-budget N (per constant, or per modulus grid point for moduli; verify
-runs its moduli at min(N, DEFAULT_MODULI_BUDGET) per grid point); an option
-is registered only on the commands that read it.
+Every command also takes --h H (0 < H <= 1), --seed S (S >= 0), --out F
+and --pair-budget N (N >= 1; per constant, or per modulus grid point for
+moduli; verify runs its moduli at min(N, DEFAULT_MODULI_BUDGET) per grid
+point); an option is registered only on the commands that read it.
 Machine output goes to stdout (or --out); human diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 malformed spec, 3 budget
 exceeded, 4 no embedding pair with small enough defect.  Output is
@@ -69,6 +69,10 @@ def _check_options(args: argparse.Namespace) -> None:
         raise InvalidNormError(f"--h must lie in (0, 1], got {args.resolution}")
     if not 0.0 <= getattr(args, "tol", 0.0) < 1.0:
         raise InvalidNormError(f"--tol must lie in [0, 1), got {args.tol}")
+    if args.seed < 0:
+        raise InvalidNormError(f"--seed must be an integer >= 0, got {args.seed}")
+    if args.pair_budget < 1:
+        raise InvalidNormError(f"--pair-budget must be an integer >= 1, got {args.pair_budget}")
 
 
 def _load_space(args: argparse.Namespace) -> LatticeSpace:

@@ -4,14 +4,14 @@ refinement, and ``certified_extremum``, the one pipeline joining them.
 Every constant and modulus of the package is an inf or sup of a Lipschitz
 objective ``f(X, Y)`` over point pairs.  Certified bounds come from the net
 scan alone (net value -/+ slack); refinement only polishes the witness,
-improving the attained side.  Objectives broadcast, so the scan (on
-``xb[:, None, :]`` against ``ys[None, :, :]``) and the refinement (on
-row-aligned candidates) call the same function.  An objective that is
-symmetric bit for bit (``f(X, Y) == f(Y, X)``, as for ``||x + y||``,
-``||x - y||`` and their max and min) on one net paired with itself is
-scanned over the upper triangle j >= i only, and its candidate pairs are
-mirrored back, so the scan's results are those of the full scan from about
-half the evaluations.  Objectives are max-type norms,
+improving the attained side.  Objectives broadcast, so the scan (on strips
+of rows ``xs[i:i', None, :]`` against ``ys[None, j:, :]``) and the
+refinement (on row-aligned candidates) call the same function.  An
+objective that is symmetric bit for bit (``f(X, Y) == f(Y, X)``, as for
+``||x + y||``, ``||x - y||`` and their max and min) on one net paired with
+itself is scanned over the upper triangle j >= i only, and its candidate
+pairs are mirrored back, so the scan's results are those of the full scan
+from about half the evaluations.  Objectives are max-type norms,
 Lipschitz but not smooth, so refinement is a coordinate search with step
 halving; every sweep also tries all two-coordinate sign combinations across
 both arguments, because single moves stall at edges of polyhedral objectives.
@@ -53,6 +53,9 @@ _STEP_MIN = 1e-11
 # share of the pre-refinement enclosure width below which a non-best start's
 # gain over a stall window stops it (certified_extremum only)
 _GAIN_TOL = 1e-3
+# pairs per objective call of a scan, so that a strip's temporaries stay in
+# cache; 2**13 and 2**17 scanned 3-D half-sphere nets more slowly
+_STRIP_PAIRS = 2**15
 
 
 def scan_pairs(
@@ -66,50 +69,54 @@ def scan_pairs(
 ):
     """Extremum of ``values`` over all net pairs, plus the top-k seed pairs.
 
-    ``values(X, Y)`` is called on a block of rows ``X = xb[:, None, :]``
-    against ``Y = ys[None, j0:, :]`` and must broadcast to a (b, m - j0)
-    matrix.  Blocks are visited in row order and each contributes its first
-    minimum (maximum) besides its top k, so the reported best pair is the
-    lexicographically smallest optimizer.
+    Rows are visited in blocks, and a block in strips of about
+    ``_STRIP_PAIRS`` pairs: ``values(X, Y)`` is called on a strip
+    ``X = xs[i:i', None, :]`` against ``Y = ys[None, j:, :]``, must
+    broadcast to a (i' - i, m - j) matrix, and its result goes, signed,
+    into one buffer per sense that every block reuses.  Blocks are visited
+    in row order and each contributes its first minimum (maximum) besides
+    its top k, so the reported best pair is the lexicographically smallest
+    optimizer.
 
     Several senses share one scan when ``maximize`` is a tuple: ``values``
-    then returns one matrix per sense from one evaluation of the block, and
+    then returns one matrix per sense from one evaluation of the strip, and
     the result is a list with one (extremum, top-k) per sense, each what a
     scan of that matrix alone returns.
 
     ``symmetric`` declares ``values(X, Y) == values(Y, X)`` bit for bit on
-    one net paired with itself (``xs is ys``).  Then a block of rows
-    [i0, i1) is evaluated against ``ys[i0:]`` only, its entries j < i (all in
-    the block's diagonal square) read +inf, and every candidate (v, i, j)
-    with i != j also stands for its mirror (v, j, i): the extremum, the best
-    pair and the top-k values are those of the full scan, from about half
-    the pairs.
+    one net paired with itself (``xs is ys``).  Then a strip of rows [i, i')
+    is evaluated against ``ys[i:]`` only, its entries j < i read +inf, and
+    every candidate (v, i, j) with i != j also stands for its mirror
+    (v, j, i): the extremum, the best pair and the top-k values are those
+    of the full scan, from the pairs j >= i plus the lower halves of the
+    strips' small diagonal squares.
     """
     if symmetric and xs is not ys:
         raise ValueError("a symmetric scan pairs one net with itself (xs is ys)")
-    m = ys.shape[0]
+    n, m = xs.shape[0], ys.shape[0]
     multi = isinstance(maximize, tuple)
     signs = [-1.0 if sense else 1.0 for sense in (maximize if multi else (maximize,))]
     found: list[list[tuple[float, int, int]]] = [[] for _ in signs]
     block = max(1, min(256, int(5_000_000 // max(m, 1)) or 1))
-    below = np.tri(block, k=-1, dtype=bool)  # the entries j < i of a diagonal square
-    for i0 in range(0, xs.shape[0], block):
-        b = min(block, xs.shape[0] - i0)
+    strip = max(1, min(block, _STRIP_PAIRS // max(m, 1)))
+    buffers = [np.empty(min(block, n) * m) for _ in signs]
+    for i0 in range(0, n, block):
+        b = min(block, n - i0)
         j0 = i0 if symmetric else 0
         w = m - j0
         live = b * w - (b * (b - 1) // 2 if symmetric else 0)
-        mats = values(xs[i0 : i0 + block, None, :], ys[None, j0:, :])
-        mats = list(mats) if multi else [mats]
-        for sign, candidates in zip(signs, found):
-            # signed, also when minimizing, and popped so that the list held the
-            # only reference and numpy may reuse the buffer (temporary elision):
-            # the heap this leaves sets the page faults of the refinement that
-            # follows, and a moduli pass's minor faults went from 103k to 162k
-            # when scanning in place, and from 10k-35k to 65k with a second
-            # reference to the evaluated block
-            vals = sign * np.asarray(mats.pop(0))
-            if symmetric:
-                vals[:, :b][below[:b, :b]] = np.inf
+        signed = [buf[: b * w].reshape(b, w) for buf in buffers]
+        for r0 in range(0, b, strip):
+            r1 = min(r0 + strip, b)
+            c0 = r0 if symmetric else 0
+            mats = values(xs[i0 + r0 : i0 + r1, None, :], ys[None, j0 + c0 :, :])
+            for sign, vals, mat in zip(signs, signed, mats if multi else (mats,)):
+                np.multiply(mat, sign, out=vals[r0:r1, c0:])
+            if symmetric:  # the strip's entries j < i, all left of column r1
+                skipped = np.tri(r1 - r0, r1, r0 - 1, dtype=bool)
+                for vals in signed:
+                    vals[r0:r1, :r1][skipped] = np.inf
+        for vals, candidates in zip(signed, found):
             flat = vals.ravel()
             k = min(top_k, live)
             idx = np.argpartition(flat, k - 1)[:k] if k < flat.size else np.arange(flat.size)

@@ -138,6 +138,27 @@ def test_step_and_tol_ranges_are_checked(tmp_path, capsys):
     assert run_cli(["embed", "--spec", spec, "--tol", "0", "--h", "1"], capsys)[0] == 0
 
 
+def test_seed_and_pair_budget_ranges_are_checked(tmp_path, capsys):
+    # a negative seed died in numpy's default_rng with exit 1 (the code of a
+    # failed verification), and a budget below 1 exited 3 as if over budget
+    spec = write_spec(tmp_path, L2_2_SPEC)
+    commands = [["constants", "--spec", spec], ["moduli", "--spec", spec],
+                ["verify", "--spec", spec], ["verify", "--builtin-suite"],
+                ["embed", "--spec", spec]]
+    cases = [(argv + ["--seed", "-1"], "--seed") for argv in commands]
+    cases += [(argv + ["--pair-budget", budget], "--pair-budget")
+              for argv in commands for budget in ("0", "-5")]
+    for argv, option in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert err.startswith("error:") and option in err.splitlines()[0], argv
+        assert out == "", argv
+    # the ends of the ranges are valid
+    assert run_cli(["embed", "--spec", spec, "--seed", "0", "--h", "1"], capsys)[0] == 0
+    assert run_cli(["constants", "--spec", spec, "--h", "1", "--pair-budget", "1"],
+                   capsys)[0] == 3
+
+
 def test_moduli_pair_budget_is_honoured(tmp_path, capsys):
     # in dimension 1 every constant is exact, so only verify's identity
     # battery can exceed the budget

@@ -112,6 +112,54 @@ def test_one_scan_in_several_senses_equals_one_scan_per_sense(name):
         assert shared == alone, (n, symmetric)
 
 
+# a symmetric scan of 257 points has strips of 127 rows, the last one (the
+# second block) 1 row; at 382 points the first block's last strip is 1 row
+STRIP_NET_SIZES = (257, 382)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SPACES))
+def test_strips_change_no_value_and_skip_the_discarded_pairs(name):
+    space = SCAN_SPACES[name]
+    net = _net(space, "half")
+    calls = []
+
+    def spy(f):
+        def values(X, Y):
+            calls.append((X.shape[0], Y.shape[1]))
+            return f(X, Y)
+        return values
+
+    def both(X, Y):
+        a, b = space.norm_values(X - Y), space.norm_values(X + Y)
+        return np.maximum(a, b), np.minimum(a, b)
+
+    for n, symmetric in itertools.product(STRIP_NET_SIZES, (False, True)):
+        pts = net[:n]
+        ys = pts if symmetric else net[n // 3 : n // 3 + n - 7]
+        m = len(ys)
+        strip = max(1, min(256, search._STRIP_PAIRS // m))
+        assert strip < n  # several strips
+        for f, maximize in ((_plus(space), False), (both, (False, True))):
+            # with room for every pair (at the smaller net), each value is
+            # the one-call matrix's
+            top_k = n * m if n == STRIP_NET_SIZES[0] else 10
+            calls.clear()
+            found = scan_pairs(space, pts, ys, spy(f), maximize, top_k, symmetric)
+            # no call holds more than a strip's pairs, unless one row does
+            assert all(rows * cols <= max(search._STRIP_PAIRS, cols) for rows, cols in calls)
+            pairs = sum(rows * cols for rows, cols in calls)
+            if symmetric:
+                assert pairs <= n * (n + 1) // 2 + n * (strip - 1) // 2, (n, pairs)
+            else:
+                assert pairs == n * m
+            mats = f(pts[:, None, :], ys[None, :, :])
+            senses = zip(mats, found) if isinstance(maximize, tuple) else [(mats, found)]
+            for full, (val, top) in senses:
+                assert len(top) == top_k
+                assert all(v == full[i, j] for v, i, j in top), (n, symmetric)
+                assert val == top[0][0]
+
+
 def test_symmetric_scan_tie_rule_on_l1():
     # ||x + y||_1 = 2 on every positive l1 unit pair; on points with dyadic
     # coordinates summing to 1 it is exactly 2.0, so every pair ties and the
