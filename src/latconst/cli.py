@@ -46,6 +46,10 @@ EXIT_BAD_SPEC = 2
 EXIT_BUDGET = 3
 EXIT_NO_EMBEDDING = 4
 
+# each grid point costs one sigma and one delta_m; 1001 points is a grid at
+# the 1e-3 eps resolution of ``characteristic``
+_MAX_EPS_POINTS = 1001
+
 
 def _parse_eps_grid(text: str) -> list[float]:
     try:
@@ -56,6 +60,8 @@ def _parse_eps_grid(text: str) -> list[float]:
         raise InvalidNormError(f"--eps-grid needs finite a, b and step > 0, b >= a, got {text!r}")
     if a < 0.0 or b > 1.0:
         raise InvalidNormError("eps grid must lie inside [0, 1]")
+    if (b - a + 1e-12) / step >= _MAX_EPS_POINTS:  # the loop below makes > this many points
+        raise InvalidNormError(f"--eps-grid {text!r} has over {_MAX_EPS_POINTS} points")
     out = []
     k = 0
     while a + k * step <= b + 1e-12:

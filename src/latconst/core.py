@@ -17,7 +17,8 @@ last axis column by column into one fresh buffer (``_fold``).  That gives
 the bits of numpy's ``np.sum``/``np.max(..., axis=-1)`` at a fraction of
 their cost on the short rows used here: ``max`` is exact in any order, and
 numpy adds fewer than 8 contiguous entries in order but 8 or more
-pairwise, so a sum over 8 or more columns goes through ``np.add.reduce``.
+pairwise, so a sum over 8 or more columns goes through ``np.add.reduce``
+on a C-contiguous array.  No bit depends on the input's memory layout.
 
 ``LatticeSpace`` pairs a dimension with a norm and caches the basis
 norms b_i = ||e_i||, which give the two-sided sandwich
@@ -167,7 +168,9 @@ def _fold(ufunc, cols):
     is_array = isinstance(cols, np.ndarray)
     n = cols.shape[-1] if is_array else len(cols)
     if ufunc is np.add and n >= _PAIRWISE_MIN:
-        return np.add.reduce(cols if is_array else np.stack(cols, axis=-1), axis=-1, dtype=float)
+        # numpy sums pairwise only along a contiguous last axis
+        cols = np.ascontiguousarray(cols) if is_array else np.stack(cols, axis=-1)
+        return np.add.reduce(cols, axis=-1, dtype=float)
     if is_array:
         out = cols[..., 0].astype(float)
         for k in range(1, n):
@@ -307,6 +310,8 @@ class FormMax(NormExpr):
         self.dim = r.shape[1]
 
     def eval_abs(self, a):
+        if len(self.rows) == 1:  # BLAS's matrix-vector product rounds by layout
+            a = np.ascontiguousarray(a)
         return _fold(np.maximum, a @ self.rows.T)
 
     def to_dict(self):

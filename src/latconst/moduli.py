@@ -222,11 +222,15 @@ def _delta_scan(space: LatticeSpace, resolution: float | None, pair_budget: int)
     tgrid = box_grid(space.dim, resolution)
     pts = net.points
     block = max(1, int(2_000_000 // max(tgrid.shape[0], 1)) or 1)
-    one_minus_t = 1.0 - tgrid
+    # coordinate-major (Fortran-order) operands, so that the products' loops
+    # run along the grid rather than the few coordinates
+    tgrid_f = np.asfortranarray(tgrid)
+    one_minus_t = 1.0 - tgrid_f
+    pts_f = np.asfortranarray(pts)
     blocks = []
     for i0 in range(0, pts.shape[0], block):
-        xb = pts[i0 : i0 + block]
-        ynorm = space.norm_values(xb[:, None, :] * tgrid[None, :, :])
+        xb = pts_f[i0 : i0 + block]
+        ynorm = space.norm_values(xb[:, None, :] * tgrid_f[None, :, :])
         obj = 1.0 - space.norm_values(xb[:, None, :] * one_minus_t[None, :, :])
         blocks.append((i0, ynorm, obj))
     masks = [np.asarray(labels) for labels in itertools.product((0.0, 1.0), repeat=space.dim)]

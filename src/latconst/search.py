@@ -5,8 +5,9 @@ Every constant and modulus of the package is an inf or sup of a Lipschitz
 objective ``f(X, Y)`` over point pairs.  Certified bounds come from the net
 scan alone (net value -/+ slack); refinement only polishes the witness,
 improving the attained side.  Objectives broadcast, so the scan (on strips
-of rows ``xs[i:i', None, :]`` against ``ys[None, j:, :]``) and the
-refinement (on row-aligned candidates) call the same function.  An
+of rows ``xs[i:i', None, :]`` against ``ys[None, j:, :]``, taken from
+coordinate-major copies of the nets) and the refinement (on row-aligned
+candidates) call the same function.  An
 objective that is symmetric bit for bit (``f(X, Y) == f(Y, X)``, as for
 ``||x + y||``, ``||x - y||`` and their max and min) on one net paired with
 itself is scanned over the upper triangle j >= i only, and its candidate
@@ -73,10 +74,12 @@ def scan_pairs(
     ``_STRIP_PAIRS`` pairs: ``values(X, Y)`` is called on a strip
     ``X = xs[i:i', None, :]`` against ``Y = ys[None, j:, :]``, must
     broadcast to a (i' - i, m - j) matrix, and its result goes, signed,
-    into one buffer per sense that every block reuses.  Blocks are visited
-    in row order and each contributes its first minimum (maximum) besides
-    its top k, so the reported best pair is the lexicographically smallest
-    optimizer.
+    into one buffer per sense that every block reuses.  The strips are
+    views of coordinate-major copies of the nets, so elementwise work on
+    them loops along the net points, not the few coordinates.  Blocks are
+    visited in row order and each contributes its first minimum (maximum)
+    besides its top k, so the reported best pair is the lexicographically
+    smallest optimizer.
 
     Several senses share one scan when ``maximize`` is a tuple: ``values``
     then returns one matrix per sense from one evaluation of the strip, and
@@ -100,6 +103,8 @@ def scan_pairs(
     block = max(1, min(256, int(5_000_000 // max(m, 1)) or 1))
     strip = max(1, min(block, _STRIP_PAIRS // max(m, 1)))
     buffers = [np.empty(min(block, n) * m) for _ in signs]
+    xs = np.asfortranarray(xs)
+    ys = xs if symmetric else np.asfortranarray(ys)
     for i0 in range(0, n, block):
         b = min(block, n - i0)
         j0 = i0 if symmetric else 0

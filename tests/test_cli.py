@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+import latconst.cli as cli
 from latconst.cli import main
+from latconst.core import InvalidNormError
 
 GAP3_SPEC = {
     "dim": 3,
@@ -113,13 +115,27 @@ def test_tol_is_an_embed_option_only(tmp_path, capsys):
             main(argv + ["--spec", spec])
         assert exit_info.value.code == 2, argv
     capsys.readouterr()
-    # a malformed grid is still a spec error, also a non-finite one (verify
-    # checks it before computing anything)
-    for grid in ("0:1", "1:0:0.5", "0:2:0.5", "nan:1:0.1", "0:1:nan", "0:nan:0.1", "0:1:inf"):
+    # a malformed grid is still a spec error, also a non-finite one or one
+    # too fine to build (verify checks it before computing anything)
+    for grid in ("0:1", "1:0:0.5", "0:2:0.5", "nan:1:0.1", "0:1:nan", "0:nan:0.1", "0:1:inf",
+                 "0:1:1e-12"):
         for command in ("moduli", "verify"):
             code, _, err = run_cli([command, "--spec", spec, "--eps-grid", grid], capsys)
             assert code == 2, (command, grid)
             assert err.startswith("error:"), (command, grid)
+
+
+def test_eps_grid_size_is_capped(tmp_path, capsys):
+    # the point count is checked before the grid is built: a grid at the
+    # characteristic's 1e-3 resolution parses, a finer one is a spec error
+    assert len(cli._parse_eps_grid("0:1:0.001")) == cli._MAX_EPS_POINTS == 1001
+    with pytest.raises(InvalidNormError, match="points"):
+        cli._parse_eps_grid("0:1:1e-4")
+    spec = write_spec(tmp_path, L1_3_SPEC)
+    for command in ("moduli", "verify"):
+        code, out, err = run_cli([command, "--spec", spec, "--eps-grid", "0:1:1e-12"], capsys)
+        assert code == 2 and out == "", command
+        assert err.startswith("error:") and err.count("\n") == 1, (command, err)
 
 
 def test_step_and_tol_ranges_are_checked(tmp_path, capsys):

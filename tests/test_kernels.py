@@ -4,7 +4,8 @@ Every combinator must give the bits of ``oracles.reference_eval_abs`` (the
 ``np.sum``/``np.max``/``np.stack`` formulas) on single vectors and on
 batches of every rank used, across the 8-column boundary where numpy
 switches from in-order to pairwise summation, and must leave its input
-unwritten.
+unwritten.  The bits must not depend on the memory layout of the input:
+coordinate-major batches, as the pair scans pass, give the same norms.
 """
 
 import math
@@ -89,6 +90,8 @@ def _check(expr, rng):
         a = np.abs(x)
         a_before, x_before = a.copy(), x.copy()
         _assert_same(expr.eval_abs(a), reference_eval_abs(expr, a))
+        coordinate_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+        _assert_same(expr.eval_abs(coordinate_major), reference_eval_abs(expr, a))
         _assert_same(space.norm_values(x), reference_eval_abs(expr, np.abs(x)))
         for v in x.reshape(-1, expr.dim)[:3]:
             assert space.norm_value(v) == float(reference_eval_abs(expr, np.abs(v)))

@@ -9,15 +9,19 @@ import pytest
 
 from latconst import moduli
 from latconst import (
+    FormMax,
     LatticeSpace,
+    MaxOf,
     Scale,
     beta_gap_space,
     characteristic,
     delta_curve,
     delta_m,
+    direct_sum_l1,
     identity_battery,
     lambda_plus,
     linf_space,
+    lp,
     lp_space,
     permute_norm,
     random_polyhedral2_space,
@@ -272,6 +276,38 @@ def test_shared_scan_equals_independent_calls(name, monkeypatch):
     check(calls)
     deltas = {e: _bits(est) for (which, e), est in memo.items() if which == "delta"}
     assert deltas == {e: alone[e] for e in deltas}
+
+
+def _stage_spaces():
+    weights = [1.0, 2.5, 0.75]
+    return {
+        "l3_3": lp_space(3, 3),
+        "weighted_l15_3": lp_space(3, 1.5, weights=weights),
+        "weighted_linf_3": lp_space(3, np.inf, weights=weights),
+        "beta_gap": beta_gap_space(),
+        "formmax1_3": LatticeSpace(3, FormMax([weights])),
+        "formmax7_2": random_polyhedral2_space(np.random.default_rng(5), n_rows=7),
+        "blocksum_4": direct_sum_l1(beta_gap_space(), 1),
+        "max_scale_3": LatticeSpace(3, Scale(0.7, MaxOf([Scale(1.5, lp(3, 2)), beta_gap_space().norm]))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_stage_spaces()))
+def test_delta_net_stage_equals_the_row_major_formula(name):
+    # the stage evaluates coordinate-major operands; every value must be the
+    # one of the plain row-major products
+    space = _stage_spaces()[name]
+    for budget in (_SHARE_BUDGET, 400_000):
+        _, net, tgrid, blocks, sections = moduli._delta_scan(space, None, budget)
+        pts = net.points
+        assert [i0 for i0, _, _ in blocks] == list(range(0, len(pts), len(blocks[0][1])))
+        for i0, ynorm, obj in blocks:
+            xb = pts[i0 : i0 + len(ynorm)]
+            assert np.array_equal(ynorm, space.norm_values(xb[:, None, :] * tgrid[None]))
+            assert np.array_equal(obj, 1.0 - space.norm_values(xb[:, None, :] * (1.0 - tgrid)[None]))
+        assert sum(len(ynorm) for _, ynorm, _ in blocks) == len(pts)
+        for mask, norms in sections:
+            assert np.array_equal(norms, space.norm_values(pts * mask[None, :]))
 
 
 def _count_scans(monkeypatch):

@@ -115,18 +115,34 @@ def test_one_scan_in_several_senses_equals_one_scan_per_sense(name):
 # a symmetric scan of 257 points has strips of 127 rows, the last one (the
 # second block) 1 row; at 382 points the first block's last strip is 1 row
 STRIP_NET_SIZES = (257, 382)
+# FormMax norms whose matrix product takes each of BLAS's matrix-vector and
+# matrix-matrix paths
+STRIP_SPACES = SCAN_SPACES | {
+    f"formmax{rows}_{dim}": lc.LatticeSpace(dim, lc.FormMax(
+        np.random.default_rng(rows * dim).uniform(0.1, 1.0, (rows, dim))))
+    for rows in (1, 4, 7) for dim in (2, 3, 4)}
 
 
-@pytest.mark.parametrize("name", sorted(SCAN_SPACES))
+def _coordinate_major(a):
+    # a view whose coordinate axis varies slowest, not fastest
+    return a.base is not None and a.strides[-1] == max(a.strides) > a.itemsize
+
+
+@pytest.mark.parametrize("name", sorted(STRIP_SPACES))
 def test_strips_change_no_value_and_skip_the_discarded_pairs(name):
-    space = SCAN_SPACES[name]
+    space = STRIP_SPACES[name]
     net = _net(space, "half")
     calls = []
 
     def spy(f):
         def values(X, Y):
+            # coordinate-major views, valued bit for bit as row-major copies
+            assert _coordinate_major(X) and _coordinate_major(Y), (X.strides, Y.strides)
             calls.append((X.shape[0], Y.shape[1]))
-            return f(X, Y)
+            mats = f(X, Y)
+            row_major = f(np.ascontiguousarray(X), np.ascontiguousarray(Y))
+            assert np.array_equal(np.asarray(mats), np.asarray(row_major))
+            return mats
         return values
 
     def both(X, Y):
@@ -156,7 +172,11 @@ def test_strips_change_no_value_and_skip_the_discarded_pairs(name):
             senses = zip(mats, found) if isinstance(maximize, tuple) else [(mats, found)]
             for full, (val, top) in senses:
                 assert len(top) == top_k
-                assert all(v == full[i, j] for v, i, j in top), (n, symmetric)
+                # BLAS rounds some FormMax products by the matrix shape (one
+                # row, or four rows in 4-D), so only the strip check above
+                # holds for every added FormMax norm
+                if name in SCAN_SPACES:
+                    assert all(v == full[i, j] for v, i, j in top), (n, symmetric)
                 assert val == top[0][0]
 
 
