@@ -7,8 +7,10 @@ Lipschitz factors) * mesh``, and refinement from the best net pairs
 improves the attained side only.  This module supplies the objectives, the
 nets and their slacks.  One step, ``_enclosure``, turns the engine's values
 into every computed interval of the package, clamped to the a priori range
-of its kind ([1, 2] for the sphere constants, [0, 1] for the moduli); one
-helper, ``_exact``, gives the exact values (dimension 1, moduli at eps = 0).
+of its kind ([1, 2] for the sphere constants, [0, 1] for the moduli,
+``_a_priori_range``).  The engine reads the same range: a best net value at
+its floor (infimum) or ceiling (supremum) needs no refinement.  One helper,
+``_exact``, gives the exact values (dimension 1, moduli at eps = 0).
 
 Every objective is 1-Lipschitz in each argument: ||x + y|| on positive and
 disjoint pairs by the triangle inequality, and the full-sphere max/min of
@@ -108,13 +110,20 @@ def _plus(space: LatticeSpace):
     return lambda X, Y: space.norm_values(X + Y)
 
 
+def _a_priori_range(kind: str) -> tuple[float, float]:
+    """The a priori range of the kind's value: [0, 1] for the moduli, [1, 2]
+    for the sphere constants.  So an infimum's objective never falls below
+    the floor, and a supremum's never rises above the ceiling."""
+    return (0.0, 1.0) if kind in _MODULI else (1.0, 2.0)
+
+
 def _enclosure(kind, maximize, certified, attained, witnesses, mesh, info):
     """The one interval builder: [lower, upper] from the engine's certified
-    and attained values, clamped to the a priori range of the kind ([0, 1]
-    for the moduli, [1, 2] for the sphere constants).  The certified side is
-    clamped into the range, an infimum's attained side is floored too, and
-    the certified side never passes the attained one, which is the estimate."""
-    lo, hi = (0.0, 1.0) if kind in _MODULI else (1.0, 2.0)
+    and attained values, clamped to the a priori range of the kind.  The
+    certified side is clamped into the range, an infimum's attained side is
+    floored too, and the certified side never passes the attained one, which
+    is the estimate."""
+    lo, hi = _a_priori_range(kind)
     if maximize:
         upper = min(hi, certified)
         lower = min(attained, upper)
@@ -158,7 +167,8 @@ def net_pair_extremum(
     block = (net.points, net.points, lipschitz * net.mesh_norm, 2 * h, None, None)
     certified, attained, witnesses = certified_extremum(
         space, objective, [block], maximize, not full_sphere, top_k=top, refine=top,
-        symmetric=symmetric, scans=None if found is None else [found])
+        symmetric=symmetric, scans=None if found is None else [found],
+        limit=_a_priori_range(kind)[maximize])
     info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(net) ** 2}
     return _enclosure(kind, maximize, certified, attained, witnesses, net.mesh_norm, info)
 
@@ -228,7 +238,8 @@ def _disjoint_support_extremum(
         for a, b in pairs
     ]
     certified, attained, witnesses = certified_extremum(
-        space, _plus(space), blocks, maximize, top_k=2, refine=_TOP_K_PAIRS)
+        space, _plus(space), blocks, maximize, top_k=2, refine=_TOP_K_PAIRS,
+        limit=_a_priori_range(kind)[maximize])
     mesh_rep = max((nets[a].mesh_norm + nets[b].mesh_norm) / 2.0 for a, b in pairs)
     info = {"support_pairs": len(pairs), "pairs_scanned": scanned}
     return _enclosure(kind, maximize, certified, attained, witnesses, mesh_rep, info)

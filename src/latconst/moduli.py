@@ -18,6 +18,13 @@ of the true problem may round to a net point that just misses it:
 No eps enters that net stage (``_delta_scan``); each eps only selects from
 it.  So ``delta_curve``, ``identity_battery`` and ``characteristic`` share one
 across all their eps, with results bit-identical to separate ``delta_m`` calls.
+The best net candidates, and the coordinate sections of the net points moved
+onto the constraint, seed one lockstep (x, t) search, which keeps every
+point on the constraint.  It uses the engine's gain rule (see ``search``): a
+start behind the best one stops once its gain over a stall window is below
+``search._GAIN_TOL`` times delta's width before refinement (the best seed
+value minus the certified lower bound), so only gains too small to move the
+enclosure are given up.
 
 sigma is 1-Lipschitz in x and eps-Lipschitz in y, so its certificate slack
 is (1 + eps) * mesh.  Both moduli take values in [0, 1]; their intervals
@@ -34,6 +41,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import search
 from .constants import ConstantEstimate, _enclosure, _exact, lambda_plus, net_pair_extremum
 from .core import LatticeSpace
 from .nets import box_grid, face_point_count, positive_face_net, resolve_resolution
@@ -194,11 +202,12 @@ def _refine_delta(
     eps: float,
     seeds: list[tuple[np.ndarray, np.ndarray]],
     step0: float,
+    tol: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Lockstep refinement over (x on S+, t in the box) from the seed pairs
     (x, t), moved onto the constraint first and kept on it by
-    ``_constraint_projection``; returns the best refined (value, x, t), the
-    earliest seed on ties."""
+    ``_constraint_projection``, with the engine's gain rule at tolerance
+    ``tol``; returns the best refined (value, x, t), the earliest seed on ties."""
     x0, t0 = (np.array(part) for part in zip(*seeds))
     t0, feasible = _onto_constraint(space, eps, x0, t0)
     assert np.all(feasible), "refinement must start from a feasible point"
@@ -206,7 +215,7 @@ def _refine_delta(
     # witnesses satisfy ||t * x|| >= eps - _FEAS_TOL as the seeds do
     val, x, t, _ = refine_pair_on_sphere(
         space, lambda X, T: 1.0 - space.norm_values((1.0 - T) * X), x0, t0,
-        _constraint_projection(space, eps), step0)
+        _constraint_projection(space, eps), step0, tol=tol)
     return val, x, t
 
 
@@ -294,13 +303,17 @@ def delta_m(
         k = int(np.argmin(vals))
         seeds.append((float(vals[k]), pts[ok][k], mask * scale[k]))
     seeds.sort(key=lambda s: s[0])
+    # the engine's gain rule, at search._GAIN_TOL of the width before
+    # refinement; off when no net point meets the relaxed constraint
+    lower = relaxed_min - relax
+    tol = search._GAIN_TOL * (seeds[0][0] - lower) if math.isfinite(lower) else 0.0
     best, wx, wt = _refine_delta(
-        space, eps, [(x, t) for _, x, t in seeds[: 2 * _TOP_K]], step0=2 * resolution)
+        space, eps, [(x, t) for _, x, t in seeds[: 2 * _TOP_K]], 2 * resolution, tol)
     # only refined witnesses count: the scan mask admits net candidates up to
     # _FEAS_TOL below the constraint, and refinement starts from them again
     info = {"eps": eps, "resolution": resolution, "net_points": len(net),
             "pairs_scanned": len(net) * m}
-    return _enclosure("delta", False, relaxed_min - relax, best, (wx, wt * wx),
+    return _enclosure("delta", False, lower, best, (wx, wt * wx),
                       net.mesh_norm, info)
 
 
@@ -325,6 +338,8 @@ def characteristic(
     which: str,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_MODULI_BUDGET,
+    *,
+    scan: list | None = None,
 ) -> Characteristic:
     """Bisection for the largest eps with modulus estimate <= _CHAR_THRESHOLD.
 
@@ -332,12 +347,14 @@ def characteristic(
     is non-decreasing in eps on the positive cone), so the zero set is an
     interval [0, e0] and bisection applies.  The threshold separates
     "numerically zero" from "small positive" on refined estimates, whose
-    accuracy is set by the refinement step, not by the net mesh.
+    accuracy is set by the refinement step, not by the net mesh.  Every
+    delta of the bisection shares one net stage, through ``scan`` when given
+    (see ``delta_m``).
     """
     if which not in ("delta", "sigma"):
         raise ValueError("which must be 'delta' or 'sigma'")
-    # every delta of the bisection shares one net stage
-    fn = functools.partial(delta_m, scan=[]) if which == "delta" else sigma
+    scan = [] if scan is None else scan
+    fn = functools.partial(delta_m, scan=scan) if which == "delta" else sigma
 
     def g(e: float) -> float:
         return fn(space, e, resolution, pair_budget).estimate
@@ -461,9 +478,8 @@ def identity_battery(
         details={"lhs": lhs, "lambda_plus": lam}))
 
     # characteristics: sandwich and vanishing of sigma at its characteristic;
-    # drop the battery's delta net stage before the characteristic builds one
-    scan.clear()
-    char_d = characteristic(space, "delta", resolution, pair_budget=pair_budget)
+    # the delta bisection reuses the battery's net stage
+    char_d = characteristic(space, "delta", resolution, pair_budget=pair_budget, scan=scan)
     char_s = characteristic(space, "sigma", resolution, pair_budget=pair_budget)
     ctol = _TOL_IDENTITY
     checks.append(CheckResult(

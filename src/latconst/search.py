@@ -21,9 +21,17 @@ as one vectorized batch mapped back to the feasible set by a projection step
 (radial onto the sphere, or one supplied by the caller), while each seed
 keeps its own best value, step and sweep cap.  A seed behind the best seed
 stops early when its recent gain cannot carry it to the best seed's value
-before the cap, or is too small to move the enclosure (``certified_extremum``
-sets that tolerance to ``_GAIN_TOL`` of the width before refinement); so the
-best seed ends where a search from it alone would and the others no better.
+before the cap; so the best seed ends where a search from it alone would
+and the others no better.
+
+Refinement runs only while it can still move an enclosure.  Two rules stop
+it.  The gain rule: a seed behind the best one also stops once its gain
+over a stall window is below ``_GAIN_TOL`` of the width before refinement
+(``certified_extremum`` and delta's (x, t) search set that tolerance).
+The bound rule of ``certified_extremum``: when the best net value already
+sits at the a priori bound in the direction of refinement (the floor of an
+infimum, the ceiling of a supremum), no seed can improve on it, so none is
+refined.
 """
 
 from __future__ import annotations
@@ -299,6 +307,7 @@ def certified_extremum(
     refine: int = 1,
     symmetric: bool = False,
     scans: list[tuple] | None = None,
+    limit: float | None = None,
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
     """Certified inf (sup when ``maximize``) of ``objective`` over unit-sphere
     pairs, from net scans of the blocks and refinement of the best seeds.
@@ -320,6 +329,13 @@ def certified_extremum(
     window is below ``_GAIN_TOL`` of the width before refinement (best net
     value against the certified bound): gains that small cannot move the
     enclosure, and the best seed runs on as it would alone.
+
+    ``limit`` is the a priori bound of the objective in the direction of
+    refinement: no pair goes below it for an infimum, or above it for a
+    supremum.  When the best net value already attains it, refinement
+    cannot move either side, so none runs.  The best value is returned with
+    the net pair of the first sorted seed, where refinement would start and,
+    finding nothing better, end.
     """
     sign = -1.0 if maximize else 1.0
     bound = np.inf  # signed, so both senses minimize
@@ -332,6 +348,9 @@ def certified_extremum(
         best_net = min(best_net, sign * val)
         seeds.extend((sign * v, b, i, j) for v, i, j in top)
     seeds.sort(key=lambda s: s[0])
+    if limit is not None and best_net <= sign * limit:
+        _, b, i, j = seeds[0]
+        return sign * bound, sign * best_net, (blocks[b][0][i].copy(), blocks[b][1][j].copy())
     starts = []
     for _, b, i, j in seeds[:refine]:
         xs, ys, _, step0, support_x, support_y = blocks[b]

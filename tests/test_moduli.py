@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from latconst import moduli
+from latconst import moduli, search
 from latconst import (
     FormMax,
     LatticeSpace,
@@ -326,13 +326,14 @@ def test_delta_curve_builds_one_scan(monkeypatch):
     assert len(scans) == 1
     characteristic(space, "delta", None, _SHARE_BUDGET)
     assert len(scans) == 2
-    # the battery's own scan, then the one of its delta characteristic
+    # the battery builds one scan, which its delta characteristic reuses
     identity_battery(space, [0.0, 0.5, 1.0], None, _SHARE_BUDGET)
-    assert len(scans) == 4
+    assert len(scans) == 3
 
 
 def test_battery_never_holds_two_scans(monkeypatch):
-    # every scan is gone before the next is built, and none outlives its call
+    # the battery and its delta characteristic build one scan between them,
+    # and it does not outlive the call
     alive = []
     real = moduli._delta_scan
 
@@ -345,7 +346,7 @@ def test_battery_never_holds_two_scans(monkeypatch):
 
     monkeypatch.setattr(moduli, "_delta_scan", spy)
     identity_battery(lp_space(3, 2), [0.0, 0.5, 1.0], None, _SHARE_BUDGET)
-    assert len(alive) == 2
+    assert len(alive) == 1
     assert not any(ref() is not None for ref in alive)
 
 
@@ -393,3 +394,45 @@ def test_battery_memo_is_read_and_filled(monkeypatch):
     characteristic(space, "delta", None, _SHARE_BUDGET)
     characteristic(space, "sigma", None, _SHARE_BUDGET)
     assert n_battery == len(calls) - n_battery
+
+
+# ---------------------------------------------------------------------------
+# delta's (x, t) search under the gain rule
+# ---------------------------------------------------------------------------
+
+
+def test_delta_gain_rule_keeps_planar_panel_enclosures(monkeypatch):
+    # the benchmark's panel of random 2-D FormMax norms at eps = 1/||(1, 1)||:
+    # stopping the starts whose gain cannot move the enclosure leaves every
+    # enclosure as it is, and cuts the search from 2,352 sweeps to 335
+    rng = np.random.default_rng(0)
+    panel = [random_polyhedral2_space(rng) for _ in range(8)]
+    sweeps, tols = [], []
+    refine = moduli.refine_pair_on_sphere
+
+    def counting(space, f, x0, t0, project, *args, tol=0.0, **kwargs):
+        sweeps.append(0)
+        tols.append(tol)
+
+        def counted(xc, tc):  # one projection call per sweep
+            sweeps[-1] += 1
+            return project(xc, tc)
+
+        return refine(space, f, x0, t0, counted, *args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(moduli, "refine_pair_on_sphere", counting)
+
+    def run():
+        sweeps.clear()
+        tols.clear()
+        ests = [delta_m(space, 1.0 / space.norm_value(np.ones(2))) for space in panel]
+        return [(est.lower, est.upper) for est in ests], sum(sweeps), list(tols)
+
+    ruled, ruled_sweeps, ruled_tols = run()
+    # 1e-3 of the width before refinement, which is positive on every norm
+    assert all(0.0 < tol < 1e-3 for tol in ruled_tols)
+    monkeypatch.setattr(search, "_GAIN_TOL", 0.0)
+    ruleless, ruleless_sweeps, ruleless_tols = run()
+    assert ruleless_tols == [0.0] * len(panel)
+    assert ruled == ruleless
+    assert ruled_sweeps <= 400 and ruleless_sweeps > 2000

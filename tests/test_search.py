@@ -4,7 +4,8 @@ the lexicographically smallest optimizer.  Lockstep multi-start refinement:
 S starts refined in one call return the best of S single-start calls, and
 every start ends where its single-start call ends or, stopped early, on a
 worse value; a gain tolerance stops creeping starts behind the best one and
-leaves the engine's enclosures as they were."""
+leaves the engine's enclosures as they were.  The engine refines nothing
+when the best net value already attains the a priori bound."""
 
 import itertools
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import latconst as lc
+import latconst.constants as lc_constants
 import latconst.moduli as moduli
 import latconst.search as search
 from latconst.nets import half_sphere_net, positive_face_net, support_pairs
@@ -363,9 +365,9 @@ def test_lone_and_idle_starts_are_never_stopped(monkeypatch):
     calls = []
     refine = moduli.refine_pair_on_sphere
 
-    def spy(*args):
+    def spy(*args, **kw):
         calls.append(args)
-        return refine(*args)
+        return refine(*args, **kw)
 
     monkeypatch.setattr(moduli, "refine_pair_on_sphere", spy)
     est = lc.delta_m(lc.lp_space(2, 1.5), 1.0, None, 4000)
@@ -469,9 +471,9 @@ def test_gain_rule_spares_lone_and_idle_starts(monkeypatch):
     calls = []
     refine = moduli.refine_pair_on_sphere
 
-    def spy(*args):
+    def spy(*args, **kw):
         calls.append(args)
-        return refine(*args)
+        return refine(*args, **kw)
 
     monkeypatch.setattr(moduli, "refine_pair_on_sphere", spy)
     est = lc.delta_m(lc.lp_space(2, 1.5), 1.0, None, 4000)
@@ -511,3 +513,57 @@ def test_gain_rule_keeps_planar_panel_enclosures(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(est.witnesses, ref.witnesses)), key
     # lambda on the 6th norm: a creeping mirror seed ran 2,900 sweeps
     assert ruleless[5, "lambda"][1] > 2000 and ruled[5, "lambda"][1] <= 400
+
+
+# the bound rule: engine constants whose best net value attains the a priori
+# bound in the direction of refinement (lambda = 1 and james = 2 on l1 and
+# linf, alpha = james = 2 on l1_3 and beta_gap, sigma(0.5) = 0 on linf_3
+# and beta_gap), with that bound
+AT_BOUND = {
+    ("l1_2", "lambda"): 1.0, ("l1_2", "james"): 2.0,
+    ("l1_3", "lambda"): 1.0, ("l1_3", "james"): 2.0, ("l1_3", "alpha"): 2.0,
+    ("linf_3", "lambda"): 1.0, ("linf_3", "james"): 2.0, ("linf_3", "sigma(0.5)"): 0.0,
+    ("beta_gap", "james"): 2.0, ("beta_gap", "alpha"): 2.0, ("beta_gap", "sigma(0.5)"): 0.0,
+}
+ENGINE_CONSTANTS = {
+    "lambda": lc.lambda_schaffer, "james": lc.james, "lambda_plus": lc.lambda_plus,
+    "beta": lc.beta, "alpha": lc.alpha,
+    "sigma(0.5)": lambda space, *args: lc.sigma(space, 0.5, *args),
+    "sigma(1)": lambda space, *args: lc.sigma(space, 1.0, *args),
+}
+
+
+def _engine_run(monkeypatch, space, name, bound_rule=True):
+    """The constant at budget 2e5, and its number of refinement calls;
+    ``bound_rule=False`` runs the engine without its ``limit``."""
+    calls = []
+    refine = search.refine_pair_on_sphere
+    engine = lc_constants.certified_extremum
+    with monkeypatch.context() as m:
+        m.setattr(search, "refine_pair_on_sphere",
+                  lambda *args, **kwargs: calls.append(args) or refine(*args, **kwargs))
+        if not bound_rule:
+            m.setattr(lc_constants, "certified_extremum",
+                      lambda *args, limit=None, **kwargs: engine(*args, **kwargs))
+        est = ENGINE_CONSTANTS[name](lc.builtin_space(space), None, 200_000)
+    return est, len(calls)
+
+
+@pytest.mark.parametrize("space, name", sorted(AT_BOUND))
+def test_bound_rule_skips_refinement_at_the_a_priori_bound(space, name, monkeypatch):
+    est, calls = _engine_run(monkeypatch, space, name)
+    ref, ref_calls = _engine_run(monkeypatch, space, name, bound_rule=False)
+    assert calls == 0 and ref_calls > 0
+    assert est.estimate == AT_BOUND[space, name]
+    # refinement from the first seed finds nothing better and ends on it
+    assert repr(est) == repr(ref) and est.info == ref.info
+    assert [w.tobytes() for w in est.witnesses] == [w.tobytes() for w in ref.witnesses]
+
+
+@pytest.mark.parametrize("space", ["l2_3", "beta_gap"])
+def test_bound_rule_leaves_the_other_constants_refining(space, monkeypatch):
+    # alpha runs the engine twice: support pairs, then its cross-check
+    for name in ENGINE_CONSTANTS:
+        if (space, name) not in AT_BOUND:
+            _, calls = _engine_run(monkeypatch, space, name)
+            assert calls == (2 if name == "alpha" else 1), name
