@@ -19,8 +19,8 @@ disjoint pairs by the triangle inequality, and the full-sphere max/min of
 These objectives are also symmetric in x and y bit for bit (x + y == y + x,
 and x - y == -(y - x) while a lattice norm reads only |.|), so on one net
 paired with itself the engine scans the pairs j >= i only.  lambda and james
-read both norms on the same half-sphere pairs, so ``constant_battery`` scans
-that net once for both (the ``scan`` list of ``lambda_schaffer``).
+read both norms on the same half-sphere pairs, so one scan serves both; it is
+a stage of the ``search`` stage memo, so a ``constant_battery`` runs it once.
 Disjointness is combinatorial in the coordinatewise order, so beta and
 alpha enumerate support pairs exactly: one engine block per pair, over
 positive sub-sphere nets with their own mesh certificates.
@@ -47,7 +47,8 @@ from .nets import (
     support_face_net,
     support_pairs,
 )
-from .search import certified_extremum, scan_pairs
+from . import search
+from .search import certified_extremum
 
 __all__ = [
     "ConstantEstimate",
@@ -133,14 +134,6 @@ def _enclosure(kind, maximize, certified, attained, witnesses, mesh, info):
     return ConstantEstimate(kind, lower, upper, upper, witnesses, mesh, info)
 
 
-def _self_net(space: LatticeSpace, kind: str, resolution, pair_budget: int, full_sphere: bool):
-    """The (budget-fitted) step and the net that ``net_pair_extremum`` pairs with itself."""
-    orbits = 2 ** (space.dim - 1) if full_sphere else 1
-    h = resolve_resolution(kind, space.dim, resolution, pair_budget,
-                           lambda n: (orbits * face_point_count(space.dim, n)) ** 2)
-    return h, (half_sphere_net if full_sphere else positive_face_net)(space, h)
-
-
 def net_pair_extremum(
     space: LatticeSpace,
     kind: str,
@@ -151,24 +144,28 @@ def net_pair_extremum(
     maximize: bool = False,
     full_sphere: bool = False,
     symmetric: bool = False,
-    stage: tuple | None = None,
 ) -> ConstantEstimate:
     """The engine on one net paired with itself: the positive face net, or
-    the half-sphere net for full-sphere objectives (which are invariant
-    under x -> -x and y -> -y).  The slack is ``lipschitz * mesh``, with
-    ``lipschitz`` the sum of the per-argument Lipschitz factors; the result
-    is the finished enclosure of ``kind``.  ``symmetric`` states that the
-    objective is unchanged, bit for bit, when x and y swap, so the scan
-    covers every ordered pair from the pairs j >= i.  ``stage`` (a step, its
-    net and the net's ``scan_pairs`` result) replaces building and scanning.
+    for ``full_sphere`` (lambda and james, invariant under x -> -x and
+    y -> -y) the half-sphere net and the scan the two share.  The slack is
+    ``lipschitz * mesh``, with ``lipschitz`` the sum of the per-argument
+    Lipschitz factors; the result is the finished enclosure of ``kind``.
+    ``symmetric`` states that the objective is unchanged, bit for bit, when
+    x and y swap, so the scan covers every ordered pair from the pairs j >= i.
     """
-    h, net, found = stage or (*_self_net(space, kind, resolution, pair_budget, full_sphere), None)
+    orbits = 2 ** (space.dim - 1) if full_sphere else 1
+    h = resolve_resolution(kind, space.dim, resolution, pair_budget,
+                           lambda n: (orbits * face_point_count(space.dim, n)) ** 2)
+    if full_sphere:
+        net, both = search._stage(("half_sphere", space, h), lambda: _full_sphere_scan(space, h))
+        found = [both[maximize]]
+    else:
+        net, found = positive_face_net(space, h), None
     top = _TOP_K_SIGNED if full_sphere else _TOP_K_PAIRS
     block = (net.points, net.points, lipschitz * net.mesh_norm, 2 * h, None, None)
     certified, attained, witnesses = certified_extremum(
         space, objective, [block], maximize, not full_sphere, top_k=top, refine=top,
-        symmetric=symmetric, scans=None if found is None else [found],
-        limit=_a_priori_range(kind)[maximize])
+        symmetric=symmetric, scans=found, limit=_a_priori_range(kind)[maximize])
     info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(net) ** 2}
     return _enclosure(kind, maximize, certified, attained, witnesses, net.mesh_norm, info)
 
@@ -290,65 +287,50 @@ def alpha(
 # ---------------------------------------------------------------------------
 
 
-def _full_sphere_scan(space: LatticeSpace, kind: str, resolution, pair_budget: int):
-    """lambda's and james's stages (step, half-sphere net, scan result) from
-    one scan, which reduces each block's max and min of ||x - y|| and ||x + y||."""
-    h, net = _self_net(space, kind, resolution, pair_budget, full_sphere=True)
+def _full_sphere_scan(space: LatticeSpace, h: float):
+    """lambda's and james's stage at step h: the half-sphere net and one
+    scan of it, which reduces each block's max and min of ||x - y|| and
+    ||x + y|| (the scan results of the inf and the sup, in that order)."""
+    net = half_sphere_net(space, h)
 
     def both(X, Y):
         a, b = space.norm_values(X - Y), space.norm_values(X + Y)
         return np.maximum(a, b), np.minimum(a, b)
 
-    found = scan_pairs(space, net.points, net.points, both, (False, True), _TOP_K_SIGNED,
-                       symmetric=True)
-    return {name: (h, net, f) for name, f in zip(("lambda", "james"), found)}
+    return net, search.scan_pairs(space, net.points, net.points, both, (False, True),
+                                  _TOP_K_SIGNED, symmetric=True)
 
 
-def _full_sphere_extremum(space, kind, maximize, resolution, pair_budget, scan):
-    if scan is not None and not scan:
-        scan.append(_full_sphere_scan(space, kind, resolution, pair_budget))
-    combine = np.minimum if kind == "james" else np.maximum
-    # max and min move by at most the larger move of ||x - y|| and ||x + y||,
-    # so the objective is 1-Lipschitz in each of its two arguments
+def _full_sphere_extremum(space, kind, maximize, resolution, pair_budget):
+    combine = np.minimum if maximize else np.maximum
     return net_pair_extremum(
         space, kind, lambda X, Y: combine(space.norm_values(X - Y), space.norm_values(X + Y)),
-        2.0, resolution, pair_budget, maximize, full_sphere=True, symmetric=True,
-        stage=scan[0][kind] if scan else None)
+        2.0, resolution, pair_budget, maximize, full_sphere=True, symmetric=True)
 
 
 def lambda_schaffer(
     space: LatticeSpace,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    *,
-    scan: list | None = None,
 ) -> ConstantEstimate:
-    """inf max{||x - y||, ||x + y||} over full unit-sphere pairs.
-
-    Calls of ``lambda_schaffer`` and ``james`` on one (space, resolution,
-    pair_budget) share one half-sphere scan through one ``scan`` list, which
-    the first call fills; each still refines its own seeds, bit-identically
-    to a call without a list, which scans for its own constant only."""
+    """inf max{||x - y||, ||x + y||} over full unit-sphere pairs."""
     if space.dim == 1:
         return _exact("lambda", 2.0, space)
-    return _full_sphere_extremum(space, "lambda", False, resolution, pair_budget, scan)
+    return _full_sphere_extremum(space, "lambda", False, resolution, pair_budget)
 
 
 def james(
     space: LatticeSpace,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    *,
-    scan: list | None = None,
 ) -> ConstantEstimate:
-    """sup min{||x - y||, ||x + y||} over full unit-sphere pairs; ``scan``
-    shares the half-sphere scan with ``lambda_schaffer`` (see there).
+    """sup min{||x - y||, ||x + y||} over full unit-sphere pairs.
 
     In dimension 1 every unit pair has x = +/- y, so the value is 0.
     """
     if space.dim == 1:
         return _exact("james", 0.0, space, y_scale=-1.0)
-    return _full_sphere_extremum(space, "james", True, resolution, pair_budget, scan)
+    return _full_sphere_extremum(space, "james", True, resolution, pair_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +380,7 @@ def build_chain(consts: dict[str, ConstantEstimate]) -> tuple[list[dict], bool]:
     return chain, ok
 
 
+@search._stage_scope()
 def constant_battery(
     space: LatticeSpace,
     resolution: float | None = None,
@@ -407,13 +390,12 @@ def constant_battery(
     lambda and james share one half-sphere scan, dropped when this call returns."""
     if space.dim < 2:
         raise UnsupportedDimensionError("the constant battery requires dimension >= 2")
-    scan: list = []
     consts = {
-        "lambda": lambda_schaffer(space, resolution, pair_budget, scan=scan),
+        "lambda": lambda_schaffer(space, resolution, pair_budget),
         "lambda_plus": lambda_plus(space, resolution, pair_budget),
         "beta": beta(space, resolution, pair_budget),
         "alpha": alpha(space, resolution, pair_budget),
-        "james": james(space, resolution, pair_budget, scan=scan),
+        "james": james(space, resolution, pair_budget),
     }
     chain, ok = build_chain(consts)
     product = consts["lambda"].estimate * consts["james"].estimate

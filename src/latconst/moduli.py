@@ -15,9 +15,8 @@ of the true problem may round to a net point that just misses it:
     lower = (net min over ||t*x|| >= eps - relax) - relax,
     relax = mesh_x + mesh_t.
 
-No eps enters that net stage (``_delta_scan``); each eps only selects from
-it.  So ``delta_curve``, ``identity_battery`` and ``characteristic`` share one
-across all their eps, with results bit-identical to separate ``delta_m`` calls.
+No eps enters that net stage (``_delta_scan``), a stage of the ``search``
+stage memo; each eps only selects from it, so sharing it changes no result.
 The best net candidates, and the coordinate sections of the net points moved
 onto the constraint, seed one lockstep (x, t) search, which keeps every
 point on the constraint.  It uses the engine's gain rule (see ``search``): a
@@ -34,7 +33,6 @@ which clamps them to that range.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -99,7 +97,7 @@ class ModulusCurve:
 
 @dataclass
 class Characteristic:
-    """Largest eps in [0, 1) at which the (monotone) modulus stays below
+    """Largest eps in [0, 1] at which the (monotone) modulus stays below
     the zero threshold, located by bisection on refined estimates."""
 
     which: str  # "delta" -> eps_0m, "sigma" -> tilde eps_0m
@@ -219,14 +217,17 @@ def _refine_delta(
     return val, x, t
 
 
+def _delta_step(space: LatticeSpace, resolution: float | None, pair_budget: int) -> float:
+    return resolve_resolution("delta", space.dim, resolution, pair_budget,
+                              lambda n: face_point_count(space.dim, n) * (n + 1) ** space.dim)
+
+
 def _delta_scan(space: LatticeSpace, resolution: float | None, pair_budget: int):
     """The net stage of ``delta_m``, which no eps enters: the resolved step,
     the sphere net, the box grid, the scan blocks (first net row, ||t*x||,
     1 - ||(1-t)*x||) and, per nonzero support mask, the norms of the
     coordinate sections of the net points."""
-    resolution = resolve_resolution(
-        "delta", space.dim, resolution, pair_budget,
-        lambda n: face_point_count(space.dim, n) * (n + 1) ** space.dim)
+    resolution = _delta_step(space, resolution, pair_budget)
     net = positive_face_net(space, resolution)
     tgrid = box_grid(space.dim, resolution)
     pts = net.points
@@ -252,20 +253,15 @@ def delta_m(
     eps: float,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_MODULI_BUDGET,
-    *,
-    scan: list | None = None,
 ) -> ConstantEstimate:
-    """Lower modulus of uniform monotonicity at eps (see module docs).  Calls
-    at many eps of one (space, resolution, pair_budget) share the net stage
-    through one ``scan`` list, which the first call that needs it fills."""
+    """Lower modulus of uniform monotonicity at eps (see module docs)."""
     eps = _check_eps(eps)
     if eps == 0.0:
         # y = 0 is feasible and gives 1 - ||x|| = 0, exactly
         return _exact("delta", 0.0, space, y_scale=0.0)
-    scan = [] if scan is None else scan
-    if not scan:
-        scan.append(_delta_scan(space, resolution, pair_budget))
-    resolution, net, tgrid, blocks, sections = scan[0]
+    h = _delta_step(space, resolution, pair_budget)
+    resolution, net, tgrid, blocks, sections = search._stage(
+        ("delta", space, h), lambda: _delta_scan(space, h, pair_budget))
     relax = net.mesh_norm + 0.5 * float(resolution)
 
     pts = net.points
@@ -322,9 +318,9 @@ def sigma_curve(space, eps_grid, resolution=None, pair_budget=DEFAULT_MODULI_BUD
     return ModulusCurve("sigma", [float(e) for e in eps_grid], vals)
 
 
+@search._stage_scope()
 def delta_curve(space, eps_grid, resolution=None, pair_budget=DEFAULT_MODULI_BUDGET) -> ModulusCurve:
-    scan: list = []
-    vals = [delta_m(space, e, resolution, pair_budget, scan=scan) for e in eps_grid]
+    vals = [delta_m(space, e, resolution, pair_budget) for e in eps_grid]
     return ModulusCurve("delta", [float(e) for e in eps_grid], vals)
 
 
@@ -333,13 +329,12 @@ def delta_curve(space, eps_grid, resolution=None, pair_budget=DEFAULT_MODULI_BUD
 # ---------------------------------------------------------------------------
 
 
+@search._stage_scope()
 def characteristic(
     space: LatticeSpace,
     which: str,
     resolution: float | None = None,
     pair_budget: int = DEFAULT_MODULI_BUDGET,
-    *,
-    scan: list | None = None,
 ) -> Characteristic:
     """Bisection for the largest eps with modulus estimate <= _CHAR_THRESHOLD.
 
@@ -347,14 +342,11 @@ def characteristic(
     is non-decreasing in eps on the positive cone), so the zero set is an
     interval [0, e0] and bisection applies.  The threshold separates
     "numerically zero" from "small positive" on refined estimates, whose
-    accuracy is set by the refinement step, not by the net mesh.  Every
-    delta of the bisection shares one net stage, through ``scan`` when given
-    (see ``delta_m``).
+    accuracy is set by the refinement step, not by the net mesh.
     """
     if which not in ("delta", "sigma"):
         raise ValueError("which must be 'delta' or 'sigma'")
-    scan = [] if scan is None else scan
-    fn = functools.partial(delta_m, scan=scan) if which == "delta" else sigma
+    fn = delta_m if which == "delta" else sigma
 
     def g(e: float) -> float:
         return fn(space, e, resolution, pair_budget).estimate
@@ -384,6 +376,7 @@ def _ratio(d: float) -> float:
     return d / (1.0 - d) if d < 1.0 - 1e-12 else math.inf
 
 
+@search._stage_scope()
 def identity_battery(
     space: LatticeSpace,
     eps_grid=None,
@@ -396,18 +389,16 @@ def identity_battery(
     estimates with tolerance 1e-2 (nothing is interpolated: identities with
     shifted arguments trigger fresh modulus computations at those points).
     Each modulus is computed once per eps, into ``memo`` when given: a dict
-    ("sigma" | "delta", eps) -> estimate of this space, resolution and budget."""
-    if eps_grid is None:
-        eps_grid = [k * 0.05 for k in range(21)]
-    eps_grid = sorted(float(e) for e in eps_grid)
-    if any(e < 0.0 or e > 1.0 for e in eps_grid):
-        raise ValueError("eps grid must lie inside [0, 1]")
+    ("sigma" | "delta", eps) -> estimate of this space, resolution and budget.
+    An empty grid, or one with a value outside [0, 1] or NaN, raises ValueError."""
+    eps_grid = sorted(map(float, [k * 0.05 for k in range(21)] if eps_grid is None else eps_grid))
+    if not eps_grid or not all(0.0 <= e <= 1.0 for e in eps_grid):
+        raise ValueError("eps grid must be nonempty and lie inside [0, 1]")
     memo = {} if memo is None else memo
-    scan: list = []
 
     def cache(which: str, e: float) -> ConstantEstimate:
         if (which, e) not in memo:
-            fn = sigma if which == "sigma" else functools.partial(delta_m, scan=scan)
+            fn = sigma if which == "sigma" else delta_m
             memo[which, e] = fn(space, e, resolution, pair_budget)
         return memo[which, e]
 
@@ -479,7 +470,7 @@ def identity_battery(
 
     # characteristics: sandwich and vanishing of sigma at its characteristic;
     # the delta bisection reuses the battery's net stage
-    char_d = characteristic(space, "delta", resolution, pair_budget=pair_budget, scan=scan)
+    char_d = characteristic(space, "delta", resolution, pair_budget=pair_budget)
     char_s = characteristic(space, "sigma", resolution, pair_budget=pair_budget)
     ctol = _TOL_IDENTITY
     checks.append(CheckResult(

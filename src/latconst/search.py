@@ -1,5 +1,6 @@
 """The certified-extremum engine: net pair scans, projected local
-refinement, and ``certified_extremum``, the one pipeline joining them.
+refinement, ``certified_extremum`` (the one pipeline joining them) and the
+stage memo that lets calls share stages (``_stage_scope``).
 
 Every constant and modulus of the package is an inf or sup of a Lipschitz
 objective ``f(X, Y)`` over point pairs.  Certified bounds come from the net
@@ -36,6 +37,8 @@ refined.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -65,6 +68,32 @@ _GAIN_TOL = 1e-3
 # pairs per objective call of a scan, so that a strip's temporaries stay in
 # cache; 2**13 and 2**17 scanned 3-D half-sphere nets more slowly
 _STRIP_PAIRS = 2**15
+
+# the stage memo of the running thread's outermost scope, None outside one
+_stages: contextvars.ContextVar[dict | None] = contextvars.ContextVar("stages", default=None)
+
+
+@contextlib.contextmanager
+def _stage_scope():
+    """The stage memo: stages that several calls read (lambda's and james's
+    half-sphere scan, delta's net stage), keyed (kind, space, resolved step).
+    The outermost scope of a thread owns it, nested scopes share it, and it
+    is dropped when the owner exits; ``constant_battery``, ``delta_curve``,
+    ``characteristic`` and ``identity_battery`` are scopes."""
+    token = None if _stages.get() is not None else _stages.set({})
+    try:
+        yield
+    finally:
+        if token is not None:
+            _stages.reset(token)
+
+
+def _stage(key: tuple, build: Callable[[], object]):
+    """The stage under ``key`` from the open memo, built on a miss or outside a scope."""
+    memo = _stages.get()
+    if memo is None:
+        return build()
+    return memo[key] if key in memo else memo.setdefault(key, build())
 
 
 def scan_pairs(

@@ -44,7 +44,7 @@ from .spaces import (
     random_polyhedral2_space,
 )
 
-__all__ = ["SuiteReport", "SuiteContext", "run_builtin_suite", "verify_space"]
+__all__ = ["SuiteContext", "run_builtin_suite", "verify_space"]
 
 _VALUE_TOL = 5e-3
 _COLLAPSE_TOL = 1e-2
@@ -55,9 +55,6 @@ _CHAIN_SPACES = [
     "l1_2", "l1_3", "l15_2", "l15_3", "l2_2", "l2_3", "l3_2", "l3_3",
     "linf_2", "linf_3", "beta_gap", "max_linf_l1", "max_l2_linf_1.2",
 ]
-
-
-SuiteReport = CheckReport
 
 
 def _moduli_budget(pair_budget: int) -> int:

@@ -155,6 +155,16 @@ def test_identity_battery_l1_theorem_values():
     assert report.passed
 
 
+@pytest.mark.parametrize("grid", [[], [0.5, float("nan")], [0.5, 1.5]], ids=["empty", "nan", "above"])
+def test_identity_battery_checks_its_grid_first(monkeypatch, grid):
+    calls = []
+    for fn in ("sigma", "delta_m", "lambda_plus"):
+        monkeypatch.setattr(moduli, fn, lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="eps grid"):
+        identity_battery(lp_space(2, 2), grid)
+    assert calls == []
+
+
 def test_formula_falsa_values_on_l1():
     space = lp_space(2, 1)
     d = delta_m(space, 0.5).estimate
