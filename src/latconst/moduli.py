@@ -224,25 +224,21 @@ def _delta_step(space: LatticeSpace, resolution: float | None, pair_budget: int)
 
 def _delta_scan(space: LatticeSpace, resolution: float | None, pair_budget: int):
     """The net stage of ``delta_m``, which no eps enters: the resolved step,
-    the sphere net, the box grid, the scan blocks (first net row, ||t*x||,
-    1 - ||(1-t)*x||) and, per nonzero support mask, the norms of the
-    coordinate sections of the net points."""
+    the sphere net, the box grid, the selection blocks (first net row, and
+    ||t*x|| and 1 - ||(1-t)*x|| evaluated on ``search._strips``) and, per
+    nonzero support mask, the norms of the coordinate sections of the net
+    points."""
     resolution = _delta_step(space, resolution, pair_budget)
     net = positive_face_net(space, resolution)
     tgrid = box_grid(space.dim, resolution)
     pts = net.points
-    block = max(1, int(2_000_000 // max(tgrid.shape[0], 1)) or 1)
-    # coordinate-major (Fortran-order) operands, so that the products' loops
-    # run along the grid rather than the few coordinates
-    tgrid_f = np.asfortranarray(tgrid)
-    one_minus_t = 1.0 - tgrid_f
-    pts_f = np.asfortranarray(pts)
-    blocks = []
-    for i0 in range(0, pts.shape[0], block):
-        xb = pts_f[i0 : i0 + block]
-        ynorm = space.norm_values(xb[:, None, :] * tgrid_f[None, :, :])
-        obj = 1.0 - space.norm_values(xb[:, None, :] * one_minus_t[None, :, :])
-        blocks.append((i0, ynorm, obj))
+    ynorm, obj = np.empty((2, pts.shape[0], tgrid.shape[0]))
+    for i0, i1, _, X, T in search._strips(pts, tgrid, False):
+        ynorm[i0:i1] = space.norm_values(X * T)
+        obj[i0:i1] = 1.0 - space.norm_values(X * (1.0 - T))
+    block = max(1, 2_000_000 // max(tgrid.shape[0], 1))
+    blocks = [(i0, ynorm[i0 : i0 + block], obj[i0 : i0 + block])
+              for i0 in range(0, pts.shape[0], block)]
     masks = [np.asarray(labels) for labels in itertools.product((0.0, 1.0), repeat=space.dim)]
     sections = [(mask, space.norm_values(pts * mask[None, :])) for mask in masks[1:]]
     return resolution, net, tgrid, blocks, sections
@@ -383,24 +379,25 @@ def identity_battery(
     resolution: float | None = None,
     pair_budget: int = DEFAULT_MODULI_BUDGET,
     *,
-    memo: dict[tuple[str, float], ConstantEstimate] | None = None,
+    memo: dict[tuple, ConstantEstimate] | None = None,
 ) -> CheckReport:
     """Verify every modulus identity/inequality on a grid, by certified
     estimates with tolerance 1e-2 (nothing is interpolated: identities with
     shifted arguments trigger fresh modulus computations at those points).
     Each modulus is computed once per eps, into ``memo`` when given: a dict
-    ("sigma" | "delta", eps) -> estimate of this space, resolution and budget.
-    An empty grid, or one with a value outside [0, 1] or NaN, raises ValueError."""
+    keyed (which, space, resolution, pair_budget, eps), so that a memo shared
+    by several calls serves each only its own estimates.  An empty grid, or
+    one with a value outside [0, 1] or NaN, raises ValueError."""
     eps_grid = sorted(map(float, [k * 0.05 for k in range(21)] if eps_grid is None else eps_grid))
     if not eps_grid or not all(0.0 <= e <= 1.0 for e in eps_grid):
         raise ValueError("eps grid must be nonempty and lie inside [0, 1]")
     memo = {} if memo is None else memo
 
     def cache(which: str, e: float) -> ConstantEstimate:
-        if (which, e) not in memo:
-            fn = sigma if which == "sigma" else delta_m
-            memo[which, e] = fn(space, e, resolution, pair_budget)
-        return memo[which, e]
+        key = (which, space, resolution, pair_budget, e)
+        if key not in memo:
+            memo[key] = (sigma if which == "sigma" else delta_m)(space, e, resolution, pair_budget)
+        return memo[key]
 
     sig = {e: cache("sigma", e).estimate for e in eps_grid}
     dlt = {e: cache("delta", e).estimate for e in eps_grid}

@@ -5,10 +5,10 @@ stage memo that lets calls share stages (``_stage_scope``).
 Every constant and modulus of the package is an inf or sup of a Lipschitz
 objective ``f(X, Y)`` over point pairs.  Certified bounds come from the net
 scan alone (net value -/+ slack); refinement only polishes the witness,
-improving the attained side.  Objectives broadcast, so the scan (on strips
-of rows ``xs[i:i', None, :]`` against ``ys[None, j:, :]``, taken from
-coordinate-major copies of the nets) and the refinement (on row-aligned
-candidates) call the same function.  An
+improving the attained side.  Objectives broadcast, so the scan (on the
+strips of ``_strips``, the one cut of nets into pieces, which delta's net
+stage uses as well) and the refinement (on row-aligned candidates) call the
+same function; ``scan_pairs`` states the seeds' tie rule.  An
 objective that is symmetric bit for bit (``f(X, Y) == f(Y, X)``, as for
 ``||x + y||``, ``||x - y||`` and their max and min) on one net paired with
 itself is scanned over the upper triangle j >= i only, and its candidate
@@ -96,6 +96,28 @@ def _stage(key: tuple, build: Callable[[], object]):
     return memo[key] if key in memo else memo.setdefault(key, build())
 
 
+def _strips(xs: np.ndarray, ys: np.ndarray, symmetric: bool):
+    """The one cut of net pairs: strips ``(i0, i1, j0, X, Y)`` with
+    ``X = xs[i0:i1, None, :]`` against ``Y = ys[None, j0:, :]`` (``j0`` is 0,
+    or i0 when ``symmetric`` pairs ``xs`` with itself), of at most 256 rows
+    and about ``_STRIP_PAIRS`` pairs.  They are views of coordinate-major
+    copies of the nets, so elementwise work loops along the net points."""
+    n, m = xs.shape[0], ys.shape[0]
+    rows = max(1, min(256, _STRIP_PAIRS // max(m, 1)))
+    xs = np.asfortranarray(xs)
+    ys = xs if symmetric else np.asfortranarray(ys)
+    for i0 in range(0, n, rows):
+        j0 = i0 if symmetric else 0
+        yield i0, min(i0 + rows, n), j0, xs[i0 : i0 + rows, None, :], ys[None, j0:, :]
+
+
+def _smallest(flat: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest entries of ``flat`` by (value, index)."""
+    kth = np.partition(flat, k - 1)[k - 1]
+    below = np.flatnonzero(flat < kth)
+    return np.concatenate([below, np.flatnonzero(flat == kth)[: k - below.size]])
+
+
 def scan_pairs(
     space: LatticeSpace,
     xs: np.ndarray,
@@ -107,16 +129,12 @@ def scan_pairs(
 ):
     """Extremum of ``values`` over all net pairs, plus the top-k seed pairs.
 
-    Rows are visited in blocks, and a block in strips of about
-    ``_STRIP_PAIRS`` pairs: ``values(X, Y)`` is called on a strip
-    ``X = xs[i:i', None, :]`` against ``Y = ys[None, j:, :]``, must
-    broadcast to a (i' - i, m - j) matrix, and its result goes, signed,
-    into one buffer per sense that every block reuses.  The strips are
-    views of coordinate-major copies of the nets, so elementwise work on
-    them loops along the net points, not the few coordinates.  Blocks are
-    visited in row order and each contributes its first minimum (maximum)
-    besides its top k, so the reported best pair is the lexicographically
-    smallest optimizer.
+    ``values(X, Y)`` is called on each strip of ``_strips`` and must
+    broadcast to a (i1 - i0, m - j0) matrix.  The tie rule: the seeds are
+    the k smallest (value, i, j) of the whole scan (largest value for a
+    maximum), whatever the strip size, so the best pair is the
+    lexicographically smallest optimizer.  Each strip offers its k smallest
+    entries by (value, index), and the k best so far are kept.
 
     Several senses share one scan when ``maximize`` is a tuple: ``values``
     then returns one matrix per sense from one evaluation of the strip, and
@@ -124,54 +142,38 @@ def scan_pairs(
     scan of that matrix alone returns.
 
     ``symmetric`` declares ``values(X, Y) == values(Y, X)`` bit for bit on
-    one net paired with itself (``xs is ys``).  Then a strip of rows [i, i')
-    is evaluated against ``ys[i:]`` only, its entries j < i read +inf, and
-    every candidate (v, i, j) with i != j also stands for its mirror
-    (v, j, i): the extremum, the best pair and the top-k values are those
-    of the full scan, from the pairs j >= i plus the lower halves of the
-    strips' small diagonal squares.
+    one net paired with itself (``xs is ys``).  Then the strips' entries
+    j < i are skipped, and every kept (v, i, j) with i != j also stands for
+    its mirror (v, j, i): the result is the full scan's, from the pairs
+    j >= i plus the lower halves of the strips' small diagonal squares.
     """
     if symmetric and xs is not ys:
         raise ValueError("a symmetric scan pairs one net with itself (xs is ys)")
-    n, m = xs.shape[0], ys.shape[0]
     multi = isinstance(maximize, tuple)
     signs = [-1.0 if sense else 1.0 for sense in (maximize if multi else (maximize,))]
     found: list[list[tuple[float, int, int]]] = [[] for _ in signs]
-    block = max(1, min(256, int(5_000_000 // max(m, 1)) or 1))
-    strip = max(1, min(block, _STRIP_PAIRS // max(m, 1)))
-    buffers = [np.empty(min(block, n) * m) for _ in signs]
-    xs = np.asfortranarray(xs)
-    ys = xs if symmetric else np.asfortranarray(ys)
-    for i0 in range(0, n, block):
-        b = min(block, n - i0)
-        j0 = i0 if symmetric else 0
-        w = m - j0
-        live = b * w - (b * (b - 1) // 2 if symmetric else 0)
-        signed = [buf[: b * w].reshape(b, w) for buf in buffers]
-        for r0 in range(0, b, strip):
-            r1 = min(r0 + strip, b)
-            c0 = r0 if symmetric else 0
-            mats = values(xs[i0 + r0 : i0 + r1, None, :], ys[None, j0 + c0 :, :])
-            for sign, vals, mat in zip(signs, signed, mats if multi else (mats,)):
-                np.multiply(mat, sign, out=vals[r0:r1, c0:])
-            if symmetric:  # the strip's entries j < i, all left of column r1
-                skipped = np.tri(r1 - r0, r1, r0 - 1, dtype=bool)
-                for vals in signed:
-                    vals[r0:r1, :r1][skipped] = np.inf
-        for vals, candidates in zip(signed, found):
+    buffers = []  # one per sense for every strip, as fresh ones cost page faults
+    for i0, i1, j0, X, Y in _strips(xs, ys, symmetric):
+        mats = values(X, Y) if multi else (values(X, Y),)
+        buffers = buffers or [np.empty(mat.size) for mat in mats]  # the largest strip
+        rows = i1 - i0
+        skipped = rows * (rows - 1) // 2 if symmetric else 0  # the entries j < i
+        for sign, mat, kept, buf in zip(signs, mats, found, buffers):
+            vals = np.multiply(mat, sign, out=buf[: mat.size].reshape(mat.shape))
+            if skipped:  # all left of column i1 - j0
+                vals[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
             flat = vals.ravel()
-            k = min(top_k, live)
-            idx = np.argpartition(flat, k - 1)[:k] if k < flat.size else np.arange(flat.size)
-            # argpartition keeps an arbitrary subset of tied values; the first
-            # occurrence keeps the lexicographic tie rule
-            idx = np.union1d(idx, np.argmin(flat))
-            candidates.extend((float(flat[j]), i0 + int(j) // w, j0 + int(j) % w) for j in idx)
-    for candidates in found:
+            if len(kept) == top_k and flat.min() >= kept[-1][0]:
+                continue  # no entry displaces the k kept: later rows lose ties
+            w = vals.shape[1]
+            kept.extend((float(flat[c]), i0 + int(c) // w, j0 + int(c) % w)
+                        for c in _smallest(flat, min(top_k, flat.size - skipped)))
+            kept.sort()
+            del kept[top_k:]
+    for kept in found:
         if symmetric:
-            candidates.extend([(v, j, i) for v, i, j in candidates if i != j])
-        # the candidates are distinct pairs and hold the minimum of every block,
-        # so the first sorted candidate is the best
-        candidates.sort()
+            kept.extend([(v, j, i) for v, i, j in kept if i != j])
+        kept.sort()
     results = [(sign * c[0][0], [(sign * v, i, j) for v, i, j in c[:top_k]])
                for sign, c in zip(signs, found)]
     return results if multi else results[0]

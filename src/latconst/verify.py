@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 
 import numpy as np
 
+from . import search
 from .constants import ConstantBattery, ConstantEstimate, beta, constant_battery, lambda_plus
 from .constructions import (
     diagonal_isomorphism,
@@ -64,8 +64,8 @@ def _moduli_budget(pair_budget: int) -> int:
 
 class SuiteContext:
     """Shared caches so the criteria do not recompute the same values: one
-    constant battery per catalog space, and per catalog space one memo of
-    moduli estimates at ``moduli_budget``, keyed (which, eps)."""
+    constant battery per catalog space, and one memo of moduli estimates at
+    ``moduli_budget``, keyed as ``identity_battery``'s memo."""
 
     def __init__(self, pair_budget: int = DEFAULT_PAIR_BUDGET, seed: int = 0):
         self.pair_budget = pair_budget
@@ -73,7 +73,7 @@ class SuiteContext:
         self.seed = seed
         self._spaces: dict[str, LatticeSpace] = {}
         self._batteries: dict[str, ConstantBattery] = {}
-        self.moduli: dict[str, dict[tuple[str, float], ConstantEstimate]] = defaultdict(dict)
+        self.moduli: dict[tuple, ConstantEstimate] = {}
 
     def space(self, name: str) -> LatticeSpace:
         if name not in self._spaces:
@@ -90,11 +90,11 @@ class SuiteContext:
         return self.battery(name).constants[kind]
 
     def modulus(self, name: str, which: str, eps: float) -> float:
-        memo = self.moduli[name]
-        if (which, eps) not in memo:
+        key = (which, self.space(name), None, self.moduli_budget, eps)
+        if key not in self.moduli:
             fn = sigma if which == "sigma" else delta_m
-            memo[which, eps] = fn(self.space(name), eps, pair_budget=self.moduli_budget)
-        return memo[which, eps].estimate
+            self.moduli[key] = fn(self.space(name), eps, pair_budget=self.moduli_budget)
+        return self.moduli[key].estimate
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -211,7 +211,7 @@ def check_modulus_identities(ctx: SuiteContext) -> CheckResult:
     ok = True
     for name in ("l1_3", "l2_3", "l3_3", "beta_gap"):
         rep = identity_battery(ctx.space(name), grid, pair_budget=ctx.moduli_budget,
-                               memo=ctx.moduli[name])
+                               memo=ctx.moduli)
         rows[name] = {c.name: c.passed for c in rep.checks if not c.informational}
         ok = ok and rep.passed
     return CheckResult("modulus_identities", ok, details=rows)
@@ -232,6 +232,7 @@ def check_modulus_closed_forms(ctx: SuiteContext) -> CheckResult:
     return CheckResult("modulus_closed_forms", ok, details=rows)
 
 
+@search._stage_scope()  # its three deltas share one net stage
 def l1_section_discrepancy(ctx: SuiteContext) -> CheckResult:
     """Informational: computed l1-section moduli equal eps (both of them),
     which matches the shifted ratio identity; the alternative stated value

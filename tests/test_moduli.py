@@ -284,7 +284,7 @@ def test_shared_scan_equals_independent_calls(name, monkeypatch):
     # the grid, the shifted arguments, 1/lambda_plus and the characteristic
     assert len(calls) > 2 * len(_SHARE_GRID)
     check(calls)
-    deltas = {e: _bits(est) for (which, e), est in memo.items() if which == "delta"}
+    deltas = {e: _bits(est) for (which, *_, e), est in memo.items() if which == "delta"}
     assert deltas == {e: alone[e] for e in deltas}
 
 
@@ -389,8 +389,9 @@ def test_battery_memo_is_read_and_filled(monkeypatch):
     grid = [0.0, 0.5, 1.0]
     memo = {}
     first = identity_battery(space, grid, None, _SHARE_BUDGET, memo=memo)
-    assert {("sigma", e) for e in grid} | {("delta", e) for e in grid} <= set(memo)
-    assert all(est.info.get("eps", 0.0) == e for (_, e), est in memo.items() if e > 0.0)
+    key = (space, None, _SHARE_BUDGET)
+    assert {("sigma", *key, e) for e in grid} | {("delta", *key, e) for e in grid} <= set(memo)
+    assert all(est.info.get("eps", 0.0) == e for (*_, e), est in memo.items() if e > 0.0)
     before = dict(memo)
     calls = []
     for fn in ("sigma", "delta_m"):
@@ -404,6 +405,25 @@ def test_battery_memo_is_read_and_filled(monkeypatch):
     characteristic(space, "delta", None, _SHARE_BUDGET)
     characteristic(space, "sigma", None, _SHARE_BUDGET)
     assert n_battery == len(calls) - n_battery
+
+
+def test_battery_memo_serves_only_its_own_call():
+    # a memo filled by a battery on l2_2 gives a battery on l1_2 its own
+    # estimates, not l2_2's (which made lambda_plus_sigma_bound fail)
+    grid = [0.0, 0.5, 1.0]
+    memo = {}
+    identity_battery(lp_space(2, 2), grid, None, 20000, memo=memo)
+    filled = dict(memo)
+    l1 = lp_space(2, 1)
+    shared = identity_battery(l1, grid, None, 20000, memo=memo)
+    assert shared.to_dict() == identity_battery(lp_space(2, 1), grid, None, 20000).to_dict()
+    assert shared.passed
+    assert all(memo[key] is est for key, est in filled.items())
+    # nor does a call on the same space at another budget (another net step)
+    # read the entries filled at 20000
+    assert sigma(l1, 0.5, None, 20000).info["resolution"] != sigma(l1, 0.5, None, 5000).info["resolution"]
+    again = identity_battery(l1, grid, None, 5000, memo=memo)
+    assert again.to_dict() == identity_battery(l1, grid, None, 5000).to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,8 @@ def _scan_spaces():
 
 
 SCAN_SPACES = _scan_spaces()
-# one point, under one block, one full block, and 1.17 blocks of 256 rows
+# nets cut into strips of one row, of 100 rows, of 128 and 128 rows, and of
+# 109, 109 and 82 rows
 NET_SIZES = (1, 100, 256, 300)
 # (objective, maximize) per net; both nets are scanned in both senses
 SCANS = {
@@ -84,9 +85,8 @@ def test_symmetric_scan_matches_full_scan(name):
             val, top = scan_pairs(space, pts, pts, f, maximize, top_k)
             sval, stop = scan_pairs(space, pts, pts, f, maximize, top_k, symmetric=True)
             case = (kind, n, objective.__name__, maximize)
-            # the same bits, the same best pair, the same top-k values
-            assert val == sval and top[0] == stop[0], case
-            assert [v for v, _, _ in top] == [v for v, _, _ in stop], case
+            # the same bits, the same best pair, the same top-k pairs
+            assert (val, top) == (sval, stop), case
             assert len({(i, j) for _, i, j in stop}) == len(stop) == min(top_k, n * n), case
             # every reported value is the objective at its pair, and the best
             # pair is the lexicographically smallest optimizer of all n^2
@@ -114,9 +114,9 @@ def test_one_scan_in_several_senses_equals_one_scan_per_sense(name):
         assert shared == alone, (n, symmetric)
 
 
-# a symmetric scan of 257 points has strips of 127 rows, the last one (the
-# second block) 1 row; at 382 points the first block's last strip is 1 row
-STRIP_NET_SIZES = (257, 382)
+# a symmetric scan of 257 points has strips of 127, 127 and 3 rows; one of
+# 313 points has strips of 104 rows, the last one 1 row
+STRIP_NET_SIZES = (257, 313)
 # FormMax norms whose matrix product takes each of BLAS's matrix-vector and
 # matrix-matrix paths
 STRIP_SPACES = SCAN_SPACES | {
@@ -182,7 +182,7 @@ def test_strips_change_no_value_and_skip_the_discarded_pairs(name):
                 assert val == top[0][0]
 
 
-def test_symmetric_scan_tie_rule_on_l1():
+def test_symmetric_scan_tie_rule_on_l1(monkeypatch):
     # ||x + y||_1 = 2 on every positive l1 unit pair; on points with dyadic
     # coordinates summing to 1 it is exactly 2.0, so every pair ties and the
     # first pair, the diagonal (0, 0), must win
@@ -191,7 +191,7 @@ def test_symmetric_scan_tie_rule_on_l1():
     for q in (16, 32):
         pts = np.array([(a, b, q - a - b) for a in range(q + 1) for b in range(q + 1 - a)],
                        dtype=float) / q
-        n = len(pts)  # 153 points in one block, 561 points in three
+        n = len(pts)  # 153 points in one strip, 561 points in ten
         assert np.all(f(pts[:, None, :], pts[None, :, :]) == 2.0)
         for top_k in (1, 4):
             val, top = scan_pairs(space, pts, pts, f, top_k=top_k, symmetric=True)
@@ -201,6 +201,13 @@ def test_symmetric_scan_tie_rule_on_l1():
         everything = [(2.0, i, j) for i in range(n) for j in range(n)]
         assert scan_pairs(space, pts, pts, f, top_k=n * n, symmetric=True)[1] == everything
         assert scan_pairs(space, pts, pts, f, top_k=n * n)[1] == everything
+        # the k seeds are the k first pairs, whatever the strip size (one
+        # row per strip at 2**8 pairs)
+        for strip_pairs in (2**8, search._STRIP_PAIRS):
+            monkeypatch.setattr(search, "_STRIP_PAIRS", strip_pairs)
+            for symmetric in (True, False):
+                top = scan_pairs(space, pts, pts, f, top_k=4, symmetric=symmetric)[1]
+                assert top == [(2.0, 0, 0), (2.0, 0, 1), (2.0, 0, 2), (2.0, 0, 3)], strip_pairs
 
 
 def test_symmetric_scan_needs_one_net():

@@ -20,6 +20,7 @@ from latconst import (
     lp_space,
     moduli,
     search,
+    verify,
 )
 from latconst.constants import _plus, net_pair_extremum
 
@@ -132,3 +133,20 @@ def test_battery_threads_keep_their_own_stages():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [[w] * 3 for w in want]
+
+
+def test_suite_l1_section_criteria_build_one_delta_stage(monkeypatch):
+    # l1_section_discrepancy reads delta at three eps inside one scope, and
+    # check_ratio_formula_falsified reads delta(0.5) from the suite's memo;
+    # outside a scope the three deltas built three stages
+    calls = []
+    real = moduli.box_grid
+    monkeypatch.setattr(moduli, "box_grid", lambda *args: calls.append(args) or real(*args))
+    ctx = verify.SuiteContext()
+    section = verify.l1_section_discrepancy(ctx)
+    falsified = verify.check_ratio_formula_falsified(ctx)
+    assert len(calls) == 1
+    space = ctx.space("l1_2")
+    for e, sample in section.details["samples"].items():
+        assert sample["delta"] == delta_m(space, e, pair_budget=ctx.moduli_budget).estimate
+    assert falsified.passed and falsified.details["delta_half"] == section.details["samples"][0.5]["delta"]

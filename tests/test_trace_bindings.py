@@ -5,8 +5,10 @@ traced function must fail here rather than in a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import latconst
 import latconst.constants
 import latconst.core
+import latconst.moduli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +32,24 @@ def test_tracer_binds_every_target_and_restores_them():
         tracer.uninstall()
     assert latconst.constants.lambda_plus is lambda_plus
     assert latconst.core.LatticeSpace.norm_values is norm_values
+
+
+def test_traced_calls_produce_the_benchmark_spans():
+    # the spans the workloads require come from these calls, and a scan
+    # span's size is read off scan_pairs's positional head (space, xs, ys)
+    tracing = _load_tracing()
+    space = latconst.lp_space(2, 2)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        lp = latconst.constants.lambda_plus(space, None, 20_000)
+        lp_spans = len(tracer.end)
+        latconst.constants.james(space, None, 20_000)
+        latconst.moduli.delta_m(space, 0.5, None, 20_000)
+    finally:
+        tracer.uninstall()
+    tracer.require(["search.scan", "search.refine", "nets.positive_face_net",
+                    "nets.half_sphere_net", "nets.box_grid", "core.norm_values"])
+    spans = tracer.arrays()
+    scans = spans["name"][:lp_spans] == tracer.names.index("search.scan")
+    assert int(spans["size"][:lp_spans][scans].sum()) == lp.info["pairs_scanned"]
