@@ -24,6 +24,26 @@ a stage of the ``search`` stage memo, so a ``constant_battery`` runs it once.
 Disjointness is combinatorial in the coordinatewise order, so beta and
 alpha enumerate support pairs exactly: one engine block per pair, over
 positive sub-sphere nets with their own mesh certificates.
+
+Fundamental domains.  When the norm is unchanged by every permutation pi
+within some blocks of coordinates (``LatticeSpace._symmetry_blocks``), so
+is every objective under (x, y) -> (pi x, pi y), because pi commutes with
+x + y, x - y and eps * y.  So x may be moved into the domain D of the
+``nets`` docstring, whose net points cover S+ n D at the face net's mesh,
+while y keeps its whole net: ``lambda_plus``, alpha's cross-check and
+``sigma`` scan the face net's points in D against the whole face net.  For
+lambda and james two more steps come first.  Flipping the signs of the same
+coordinates of x and y changes neither ||x - y|| nor ||x + y||, as a
+lattice norm reads only |.|, so x may be taken >= 0; and y -> -y swaps the
+two norms, which leaves their max and min unchanged, so y may be taken from
+the half sphere.  Then pi moves x into D, and pi y or -pi y is a
+half-sphere point.  So their stage scans the face net's points in D
+against the half-sphere net.  The certified side is the reduced scan's
+extremum -/+ the same slack, and the step stays fitted to the full net's
+pair count, so nets, meshes, slacks and budget errors are those of the full
+scan; ``info["pairs_scanned"]`` counts the pairs the reduced scan is given.
+A norm with no detected symmetry keeps the scan of one net paired with
+itself.
 """
 
 from __future__ import annotations
@@ -36,6 +56,7 @@ import numpy as np
 from .core import LatticeSpace, UnsupportedDimensionError
 from .nets import (
     DEFAULT_PAIR_BUDGET,
+    _domain_points,
     face_pairs,
     face_point_count,
     fit_resolution,
@@ -145,28 +166,32 @@ def net_pair_extremum(
     full_sphere: bool = False,
     symmetric: bool = False,
 ) -> ConstantEstimate:
-    """The engine on one net paired with itself: the positive face net, or
-    for ``full_sphere`` (lambda and james, invariant under x -> -x and
-    y -> -y) the half-sphere net and the scan the two share.  The slack is
-    ``lipschitz * mesh``, with ``lipschitz`` the sum of the per-argument
-    Lipschitz factors; the result is the finished enclosure of ``kind``.
-    ``symmetric`` states that the objective is unchanged, bit for bit, when
-    x and y swap, so the scan covers every ordered pair from the pairs j >= i.
+    """The engine on x's net against y's: the positive face net, or for
+    ``full_sphere`` (lambda and james) the half-sphere net and the scan the
+    two share; x ranges over its fundamental domain (module docstring).
+    The slack is ``lipschitz * mesh``, with ``lipschitz`` the sum of the
+    per-argument Lipschitz factors; the result is the finished enclosure of
+    ``kind``.  ``symmetric`` states that the objective is unchanged, bit for
+    bit, when x and y swap, so a scan of one net paired with itself covers
+    every ordered pair from the pairs j >= i.
     """
     orbits = 2 ** (space.dim - 1) if full_sphere else 1
     h = resolve_resolution(kind, space.dim, resolution, pair_budget,
                            lambda n: (orbits * face_point_count(space.dim, n)) ** 2)
     if full_sphere:
-        net, both = search._stage(("half_sphere", space, h), lambda: _full_sphere_scan(space, h))
+        xs, net, both = search._stage(("half_sphere", space, h),
+                                      lambda: _full_sphere_scan(space, h))
         found = [both[maximize]]
     else:
         net, found = positive_face_net(space, h), None
+        xs = _domain_points(space, net.points)
     top = _TOP_K_SIGNED if full_sphere else _TOP_K_PAIRS
-    block = (net.points, net.points, lipschitz * net.mesh_norm, 2 * h, None, None)
+    block = (xs, net.points, lipschitz * net.mesh_norm, 2 * h, None, None)
     certified, attained, witnesses = certified_extremum(
         space, objective, [block], maximize, not full_sphere, top_k=top, refine=top,
-        symmetric=symmetric, scans=found, limit=_a_priori_range(kind)[maximize])
-    info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(net) ** 2}
+        symmetric=symmetric and xs is net.points, scans=found,
+        limit=_a_priori_range(kind)[maximize])
+    info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(xs) * len(net)}
     return _enclosure(kind, maximize, certified, attained, witnesses, net.mesh_norm, info)
 
 
@@ -288,17 +313,19 @@ def alpha(
 
 
 def _full_sphere_scan(space: LatticeSpace, h: float):
-    """lambda's and james's stage at step h: the half-sphere net and one
-    scan of it, which reduces each block's max and min of ||x - y|| and
-    ||x + y|| (the scan results of the inf and the sup, in that order)."""
+    """lambda's and james's stage at step h: x's points, the half-sphere net
+    and one scan of the pairs, which reduces each block's max and min of
+    ||x - y|| and ||x + y|| (the scan results of the inf and the sup, in
+    that order)."""
     net = half_sphere_net(space, h)
+    xs = _domain_points(space, net.points)
 
     def both(X, Y):
         a, b = space.norm_values(X - Y), space.norm_values(X + Y)
         return np.maximum(a, b), np.minimum(a, b)
 
-    return net, search.scan_pairs(space, net.points, net.points, both, (False, True),
-                                  _TOP_K_SIGNED, symmetric=True)
+    return xs, net, search.scan_pairs(space, xs, net.points, both, (False, True),
+                                      _TOP_K_SIGNED, symmetric=xs is net.points)
 
 
 def _full_sphere_extremum(space, kind, maximize, resolution, pair_budget):

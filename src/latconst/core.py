@@ -40,6 +40,8 @@ all ones), ``{"type": "max", "terms": [E, ...]}``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -376,6 +378,45 @@ def permute_norm(expr: NormExpr, perm: Sequence[int]) -> NormExpr:
     raise InvalidNormError(f"cannot permute coordinates of {type(expr).__name__}")
 
 
+def _same_tree(a: NormExpr, b: NormExpr) -> bool:
+    """Whether two trees are equal node for node: equal ``WeightedP`` exponents
+    and weights, equal ``Scale`` factors and inner trees, equal ``MaxOf``
+    terms in order, equal ``FormMax`` rows as a multiset.  A ``BlockSum`` is
+    never equal, so the test may miss an equal norm but never invents one."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, WeightedP):
+        return a.p == b.p and np.array_equal(a.weights, b.weights)
+    if isinstance(a, Scale):
+        return a.c == b.c and _same_tree(a.term, b.term)
+    if isinstance(a, MaxOf):
+        return len(a.terms) == len(b.terms) and all(map(_same_tree, a.terms, b.terms))
+    if isinstance(a, FormMax):
+        return sorted(map(tuple, a.rows)) == sorted(map(tuple, b.rows))
+    return False
+
+
+def _transposition_blocks(norm: NormExpr) -> tuple[tuple[int, ...], ...]:
+    """The orbits, of two or more coordinates, of the group generated by the
+    transpositions (i j) under which ``permute_norm`` gives an equal tree
+    (``_same_tree``); an error from ``permute_norm`` counts as no symmetry.
+    Transpositions generate the full symmetric group of each orbit, so every
+    permutation within the blocks leaves the norm unchanged."""
+    label = list(range(norm.dim))
+    for i, j in combinations(range(norm.dim), 2):
+        swap = list(range(norm.dim))
+        swap[i], swap[j] = j, i
+        try:
+            same = _same_tree(permute_norm(norm, swap), norm)
+        except InvalidNormError:
+            same = False
+        if same:
+            old = label[j]
+            label = [label[i] if lab == old else lab for lab in label]
+    blocks = [tuple(k for k in range(norm.dim) if label[k] == lab) for lab in sorted(set(label))]
+    return tuple(b for b in blocks if len(b) > 1)
+
+
 def rescale_coordinates(expr: NormExpr, d: np.ndarray) -> NormExpr:
     """Norm x |-> ||x / d|| with d > 0 coordinatewise, absorbed into the tree."""
     d = as_vector(d, dim=expr.dim)
@@ -514,6 +555,12 @@ class LatticeSpace:
             )
         b.setflags(write=False)
         self.basis_norms = b
+
+    @cached_property
+    def _symmetry_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks of coordinates within which every permutation leaves
+        the norm unchanged, read from the norm's tree (``_transposition_blocks``)."""
+        return _transposition_blocks(self.norm)
 
     def norm_value(self, x) -> float:
         """Norm of a single vector, with dimension and finiteness checks."""

@@ -23,7 +23,10 @@ point on the constraint.  It uses the engine's gain rule (see ``search``): a
 start behind the best one stops once its gain over a stall window is below
 ``search._GAIN_TOL`` times delta's width before refinement (the best seed
 value minus the certified lower bound), so only gains too small to move the
-enclosure are given up.
+enclosure are given up.  A seed that is already at delta's floor 0 once
+moved onto the constraint is returned with no sweep, since no start can go
+lower.  This is the engine's bound rule, applied after the move because
+the net mask admits candidates up to ``_FEAS_TOL`` below the constraint.
 
 sigma is 1-Lipschitz in x and eps-Lipschitz in y, so its certificate slack
 is (1 + eps) * mesh.  Both moduli take values in [0, 1]; their intervals
@@ -205,15 +208,21 @@ def _refine_delta(
     """Lockstep refinement over (x on S+, t in the box) from the seed pairs
     (x, t), moved onto the constraint first and kept on it by
     ``_constraint_projection``, with the engine's gain rule at tolerance
-    ``tol``; returns the best refined (value, x, t), the earliest seed on ties."""
+    ``tol``; returns the best refined (value, x, t), the earliest seed on ties.
+    When a moved seed is already at delta's floor 0, no start can go lower,
+    so the earliest best moved seed is returned with no sweep."""
     x0, t0 = (np.array(part) for part in zip(*seeds))
     t0, feasible = _onto_constraint(space, eps, x0, t0)
     assert np.all(feasible), "refinement must start from a feasible point"
+    objective = lambda X, T: 1.0 - space.norm_values((1.0 - T) * X)
+    start = objective(x0, t0)
+    if start.min() <= 0.0:
+        b = int(np.argmin(start))
+        return float(start[b]), x0[b], t0[b]
     # every accepted move passed the projection's feasibility check, so the
     # witnesses satisfy ||t * x|| >= eps - _FEAS_TOL as the seeds do
     val, x, t, _ = refine_pair_on_sphere(
-        space, lambda X, T: 1.0 - space.norm_values((1.0 - T) * X), x0, t0,
-        _constraint_projection(space, eps), step0, tol=tol)
+        space, objective, x0, t0, _constraint_projection(space, eps), step0, tol=tol)
     return val, x, t
 
 

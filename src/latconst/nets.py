@@ -15,6 +15,18 @@ net of S+ with certified mesh h * F.  The same bound covers the full sphere
 orthant by orthant because lattice norms ignore coordinate signs.
 
 Dimension 1 is exact: S+ is the single point e_1 / b_1 and the mesh is 0.
+
+Fundamental domains.  Let the norm be unchanged by every permutation of the
+coordinates within each of some disjoint blocks (``core``'s
+``LatticeSpace._symmetry_blocks``).  Each point of S+ has a permuted copy in
+the domain D where the coordinates do not increase, in index order, within
+each block.  Rounding a coordinate to the nearest value of G (ties to the
+lower one) is non-decreasing in it, so it keeps v_i >= v_j and the unit
+coordinate: a point v of D rounds to a point g of D, and g / ||g|| is a net
+point of D.  So the net points in D cover S+ n D with the same mesh h * F.
+Normalizing divides all coordinates of a point by one positive number,
+which keeps their order in floating point too, so the net points in D are
+exactly the normalized grid points in D (``_domain_points``).
 """
 
 from __future__ import annotations
@@ -153,6 +165,21 @@ def half_sphere_net(space: LatticeSpace, resolution: float) -> SphereNet:
     units = np.unique(allpts, axis=0)
     units.setflags(write=False)
     return SphereNet(units, base.mesh_norm)
+
+
+def _domain_points(space: LatticeSpace, points: np.ndarray) -> np.ndarray:
+    """``points`` itself when the norm has no detected symmetry, else its
+    rows that are >= 0 and in the fundamental domain: coordinates
+    non-increasing, in index order, within each block (-0.0 read as 0.0).
+    On the half-sphere net these are the face net's points in the domain,
+    as the half-sphere net keeps each face net point as its representative."""
+    blocks = space._symmetry_blocks
+    if not blocks:
+        return points
+    keep = np.all(points >= 0.0, axis=1)
+    for b in blocks:
+        keep &= np.all(points[:, list(b[:-1])] >= points[:, list(b[1:])], axis=1)
+    return np.abs(points[keep])
 
 
 def box_grid(dim: int, resolution: float) -> np.ndarray:

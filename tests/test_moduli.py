@@ -14,6 +14,7 @@ from latconst import (
     MaxOf,
     Scale,
     beta_gap_space,
+    builtin_space,
     characteristic,
     delta_curve,
     delta_m,
@@ -466,3 +467,43 @@ def test_delta_gain_rule_keeps_planar_panel_enclosures(monkeypatch):
     assert ruleless_tols == [0.0] * len(panel)
     assert ruled == ruleless
     assert ruled_sweeps <= 400 and ruleless_sweeps > 2000
+
+
+# delta_m on spaces whose best seed is already at delta's floor 0, at budget
+# 2e5: (lower, upper, estimate), info and witnesses (x, y), recorded when
+# the (x, t) search still ran its 33 to 50 halving sweeps from such a seed
+GOLDEN_AT_FLOOR = {
+    ("linf_2", 0.3): ((0.0, 0.0, 0.0), {"eps": 0.3, "resolution": 0.022222222222222223,
+                                         "net_points": 91, "pairs_scanned": 192556},
+                      [1.0, 0.7777777777777778], [0.0, 0.3]),
+    ("linf_2", 0.5): ((0.0, 0.0, 0.0), {"eps": 0.5, "resolution": 0.022222222222222223,
+                                         "net_points": 91, "pairs_scanned": 192556},
+                      [0.6, 1.0], [0.5, 0.0]),
+    ("linf_3", 0.3): ((0.0, 0.0, 0.0), {"eps": 0.3, "resolution": 0.125,
+                                         "net_points": 217, "pairs_scanned": 158193},
+                      [1.0, 1.0, 1.0], [0.3, 0.12857142857142856, 0.0]),
+    ("linf_3", 0.5): ((0.0, 0.0, 0.0), {"eps": 0.5, "resolution": 0.125,
+                                         "net_points": 217, "pairs_scanned": 158193},
+                      [0.125, 1.0, 1.0], [0.017857142857142856, 0.0, 0.5]),
+    ("beta_gap", 0.3): ((0.0, 0.0, 0.0), {"eps": 0.3, "resolution": 0.125,
+                                           "net_points": 217, "pairs_scanned": 158193},
+                        [0.5, 0.5, 1.0], [0.0, 0.3, 0.0]),
+    ("beta_gap", 0.5): ((0.0, 0.0, 0.0), {"eps": 0.5, "resolution": 0.125,
+                                           "net_points": 217, "pairs_scanned": 158193},
+                        [0.5, 0.6, 0.8], [0.5, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name,eps", sorted(GOLDEN_AT_FLOOR))
+def test_delta_at_its_floor_runs_no_sweep(name, eps, monkeypatch):
+    calls = []
+    refine = moduli.refine_pair_on_sphere
+    monkeypatch.setattr(moduli, "refine_pair_on_sphere",
+                        lambda *args, **kwargs: calls.append(1) or refine(*args, **kwargs))
+    est = delta_m(builtin_space(name), eps, None, 200_000)
+    triple, info, wx, wy = GOLDEN_AT_FLOOR[name, eps]
+    assert calls == []
+    assert (repr(est.lower), repr(est.upper), repr(est.estimate)) == tuple(map(repr, triple))
+    assert repr(est.info) == repr(info)
+    assert est.witnesses[0].tobytes() == np.array(wx).tobytes()
+    assert est.witnesses[1].tobytes() == np.array(wy).tobytes()

@@ -1,6 +1,7 @@
 """The engine's two stages.  Net pair scans: a symmetric objective scanned
 over the pairs j >= i gives what the full scan gives, and the best pair is
-the lexicographically smallest optimizer.  Lockstep multi-start refinement:
+the lexicographically smallest optimizer; a norm with coordinate symmetries
+scans x over its fundamental domain instead.  Lockstep multi-start refinement:
 S starts refined in one call return the best of S single-start calls, and
 every start ends where its single-start call ends or, stopped early, on a
 worse value; a gain tolerance stops creeping starts behind the best one and
@@ -217,22 +218,34 @@ def test_symmetric_scan_needs_one_net():
         scan_pairs(space, pts, pts.copy(), _plus(space), symmetric=True)
 
 
-def test_symmetric_objectives_reach_the_triangle_scan(monkeypatch):
-    flags = []
+def _spy_scans(monkeypatch):
+    """The (len(xs), len(ys), xs is ys, symmetric) of every scan_pairs call."""
+    scans = []
     scan = search.scan_pairs
 
-    def spy(*args, symmetric=False, **kwargs):
-        flags.append(symmetric)
-        return scan(*args, symmetric=symmetric, **kwargs)
+    def spy(space, xs, ys, *args, symmetric=False, **kwargs):
+        scans.append((len(xs), len(ys), xs is ys, symmetric))
+        return scan(space, xs, ys, *args, symmetric=symmetric, **kwargs)
 
     monkeypatch.setattr(search, "scan_pairs", spy)
-    space = lc.lp_space(2, 3)
-    budget = 4000
+    return scans
+
+
+def _scans_of(scans, fn, space, *args):
+    scans.clear()
+    est = fn(space, *args, pair_budget=4000)
+    return list(scans), est
+
+
+def test_symmetric_objectives_reach_the_triangle_scan(monkeypatch):
+    # a weighted lp norm has no coordinate symmetry, so its symmetric
+    # objectives scan one net paired with itself over the pairs j >= i
+    scans = _spy_scans(monkeypatch)
+    space = lc.lp_space(2, 3, weights=[1, 2])
+    assert space._symmetry_blocks == ()
 
     def flags_of(fn, *args):
-        flags.clear()
-        fn(space, *args, pair_budget=budget)
-        return list(flags)
+        return [flag for *_, flag in _scans_of(scans, fn, space, *args)[0]]
 
     for fn in (lc.lambda_schaffer, lc.lambda_plus, lc.james):
         assert flags_of(fn) == [True], fn.__name__
@@ -244,6 +257,37 @@ def test_symmetric_objectives_reach_the_triangle_scan(monkeypatch):
     assert flags_of(lc.sigma, 0.5) == [False]
     assert flags_of(lc.beta) == [False] * len(support_pairs(2))
     assert not any(flags_of(lc.delta_m, 0.5))
+
+
+def test_symmetric_norms_scan_their_fundamental_domain(monkeypatch):
+    # unit-weight lp is unchanged by swapping its two coordinates: x ranges
+    # over the face net's points with x_0 >= x_1 against all of y's net,
+    # the half-sphere net for lambda and james
+    scans = _spy_scans(monkeypatch)
+    space = lc.lp_space(2, 3)
+    assert space._symmetry_blocks == ((0, 1),)
+    for fn, args, full_sphere in ((lc.lambda_schaffer, (), True), (lc.james, (), True),
+                                  (lc.lambda_plus, (), False), (lc.sigma, (1.0,), False),
+                                  (lc.sigma, (0.5,), False), (lc.alpha, (), False)):
+        found, est = _scans_of(scans, fn, space, *args)
+        if fn is lc.alpha:
+            # support-pair scans in full, then the cross-check, whose step is
+            # lambda_plus's at alpha's half of the budget
+            assert [flag for *_, flag in found[:-1]] == [False] * len(support_pairs(2))
+            found = found[-1:]
+            h = lc.lambda_plus(space, None, 2000).info["resolution"]
+        else:
+            h = est.info["resolution"]
+        face = positive_face_net(space, h).points
+        ys = half_sphere_net(space, h).points if full_sphere else face
+        domain = face[face[:, 0] >= face[:, 1]]
+        assert 0 < len(domain) < len(face)
+        assert found == [(len(domain), len(ys), False, False)], fn.__name__
+        if fn is not lc.alpha:
+            assert est.info["net_points"] == len(ys), fn.__name__
+            assert est.info["pairs_scanned"] == len(domain) * len(ys), fn.__name__
+    # beta's support-pair scans are not reduced
+    assert [flag for *_, flag in _scans_of(scans, lc.beta, space)[0]] == [False] * 2
 
 
 def _unit_rows(space, rng, count, positive, support=None):
