@@ -359,9 +359,11 @@ class BlockSum(NormExpr):
 def permute_norm(expr: NormExpr, perm: Sequence[int]) -> NormExpr:
     """Norm of the relabeled space: x |-> ||x o perm||.
 
-    ``perm`` maps new coordinate i to old coordinate perm[i].  Supported for
-    all coordinate-local combinators; a ``BlockSum`` cannot in general be
-    re-expressed after an arbitrary relabeling and is rejected.
+    New coordinate perm[i] plays the part of old coordinate i:
+    ``permute_norm(WeightedP(1, [1, 2, 3]), [1, 2, 0])`` has the weights
+    [3, 1, 2].  Supported for all coordinate-local combinators; a
+    ``BlockSum`` cannot in general be re-expressed after an arbitrary
+    relabeling and is rejected.
     """
     perm = list(perm)
     if sorted(perm) != list(range(expr.dim)):

@@ -21,8 +21,9 @@ The best net candidates, and the coordinate sections of the net points moved
 onto the constraint, seed one lockstep (x, t) search, which keeps every
 point on the constraint.  It uses the engine's gain rule (see ``search``): a
 start behind the best one stops once its gain over a stall window is below
-``search._GAIN_TOL`` times delta's width before refinement (the best seed
-value minus the certified lower bound), so only gains too small to move the
+its gap to the best start plus ``search._GAIN_TOL`` times delta's width
+before refinement (the best seed value minus the certified lower bound), so
+only starts that could not pass the best one by a margin able to move the
 enclosure are given up.  A seed that is already at delta's floor 0 once
 moved onto the constraint is returned with no sweep, since no start can go
 lower.  This is the engine's bound rule, applied after the move because
@@ -305,7 +306,7 @@ def delta_m(
         seeds.append((float(vals[k]), pts[ok][k], mask * scale[k]))
     seeds.sort(key=lambda s: s[0])
     # the engine's gain rule, at search._GAIN_TOL of the width before
-    # refinement; off when no net point meets the relaxed constraint
+    # refinement; at 0 when no net point meets the relaxed constraint
     lower = relaxed_min - relax
     tol = search._GAIN_TOL * (seeds[0][0] - lower) if math.isfinite(lower) else 0.0
     best, wx, wt = _refine_delta(

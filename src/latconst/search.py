@@ -20,25 +20,27 @@ both arguments, because single moves stall at edges of polyhedral objectives.
 All seeds are refined in lockstep: a sweep moves every seed still running,
 as one vectorized batch mapped back to the feasible set by a projection step
 (radial onto the sphere, or one supplied by the caller), while each seed
-keeps its own best value, step and sweep cap.  A seed behind the best seed
-stops early when its recent gain cannot carry it to the best seed's value
-before the cap; so the best seed ends where a search from it alone would
-and the others no better.
+keeps its own best value, step and sweep cap.
 
 Refinement runs only while it can still move an enclosure.  Two rules stop
-it.  The gain rule: a seed behind the best one also stops once its gain
-over a stall window is below ``_GAIN_TOL`` of the width before refinement
-(``certified_extremum`` and delta's (x, t) search set that tolerance).
-The bound rule of ``certified_extremum``: when the best net value already
-sits at the a priori bound in the direction of refinement (the floor of an
-infimum, the ceiling of a supremum), no seed can improve on it, so none is
-refined.
+it.  The gain rule, the one catch-up rule for trailing seeds: every
+``_STALL_SWEEPS`` sweeps, a seed behind the best one that gained over the
+window stops when that gain is below its gap plus a tolerance, so that one
+more window at its rate could not carry it more than the tolerance past the
+best seed.  ``certified_extremum`` and delta's (x, t) search set the
+tolerance to ``_GAIN_TOL`` of the width before refinement.  The best seed
+never stops early, so it ends where a search from it alone would, and the
+others no better.  The bound rule of ``certified_extremum``: when the best
+net value already sits at the a priori bound in the direction of refinement
+(the floor of an infimum, the ceiling of a supremum), no seed can improve on
+it, so none is refined.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+from functools import cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -62,9 +64,9 @@ _EPS_IMPROVE = 1e-15
 _MAX_SWEEPS = 3000
 _STALL_SWEEPS = 25
 _STEP_MIN = 1e-11
-# share of the pre-refinement enclosure width below which a non-best start's
-# gain over a stall window stops it (certified_extremum only)
-_GAIN_TOL = 1e-3
+# share of the pre-refinement enclosure width that a trailing start's next
+# window must be able to carry it past the best start for it to go on
+_GAIN_TOL = 1e-2
 # pairs per objective call of a scan, so that a strip's temporaries stay in
 # cache; 2**13 and 2**17 scanned 3-D half-sphere nets more slowly
 _STRIP_PAIRS = 2**15
@@ -179,9 +181,11 @@ def scan_pairs(
     return results if multi else results[0]
 
 
+@cache
 def _move_directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit move directions (DX, DY): all signed single-coordinate moves plus
-    all signed two-coordinate combinations (within and across arguments).
+    all signed two-coordinate combinations (within and across arguments),
+    built once per dimension and read-only.
 
     Restricting the moves to coordinate supports keeps a subsequence of this
     list in the same order, so a support is applied as a mask over it."""
@@ -195,6 +199,8 @@ def _move_directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
     for k, mv in enumerate(moves):
         for side, coord, sgn in mv:
             (dx if side == 0 else dy)[k, coord] += sgn
+    dx.setflags(write=False)
+    dy.setflags(write=False)
     return dx, dy
 
 
@@ -212,18 +218,23 @@ def _move_mask(moved: np.ndarray, support: Support, starts: int) -> np.ndarray:
 
 def sphere_projection(space: LatticeSpace, positive: bool) -> Projection:
     """Radial projection of candidate pairs onto the unit sphere (clamped to
-    the positive cone first when ``positive``); near-zero rows are invalid."""
+    the positive cone first when ``positive``); near-zero rows are invalid.
+
+    Both arguments' norms come from one ``norm_values`` call on the stacked
+    (2, rows, dim) batch.  Every combinator evaluates it elementwise or, for
+    ``FormMax``'s matrix product, one (rows, dim) slice at a time, so the
+    bits are those of one call per argument; a (2 * rows, dim) batch would
+    not keep them, because the product rounds by its row count."""
 
     def project(xc: np.ndarray, yc: np.ndarray):
+        xy = np.stack((xc, yc))
         if positive:
-            np.maximum(xc, 0.0, out=xc)
-            np.maximum(yc, 0.0, out=yc)
-        nx = space.norm_values(xc)
-        ny = space.norm_values(yc)
-        valid = (nx > 1e-12) & (ny > 1e-12)
-        np.place(nx, ~valid, 1.0)
-        np.place(ny, ~valid, 1.0)
-        return xc / nx[:, None], yc / ny[:, None], valid
+            np.maximum(xy, 0.0, out=xy)
+        n = space.norm_values(xy)
+        valid = (n[0] > 1e-12) & (n[1] > 1e-12)
+        n[:, ~valid] = 1.0
+        xy /= n[:, :, None]
+        return xy[0], xy[1], valid
 
     return project
 
@@ -254,15 +265,15 @@ def refine_pair_on_sphere(
     through one projection and one objective call on all their candidates.
     A start keeps its own best value and step, and stops after
     ``_MAX_SWEEPS`` sweeps.  Every ``_STALL_SWEEPS`` sweeps, a start behind
-    the best start that gained over the last window stops too when, at that
-    rate, it cannot close its gap in the sweeps left, or when its gain over
-    the window is below ``tol`` (the default 0 turns this second test off);
-    the best start, a start refined alone and a start with no recent gain
-    go on.  So the returned best value and witness are those of the best
-    single-start call (unless a stopped start would later have outrun its
-    recent rate or its small gains), and a stopped start reports a value no
-    better than its single-start call gives (row for row, whenever the norm
-    evaluates rows independently).
+    the best start that gained over the last window stops too when that
+    gain is below its gap to the best start plus ``tol``: one more window at
+    its rate could not carry it more than ``tol`` past the best start.  The
+    best start, a start refined alone and a start with no gain over the
+    window go on.  So the returned best value and witness are those of the
+    best single-start call (unless a stopped start would later have sped up
+    past it), and a stopped start reports a value no better than its
+    single-start call gives (row for row, whenever the norm evaluates rows
+    independently).
 
     Returns the value and witness pair of the best start (the earliest one
     on ties), then the per-start values and witnesses.
@@ -277,27 +288,26 @@ def refine_pair_on_sphere(
     fbest = sign * np.asarray(batch_values(x, y), dtype=float)
     fwindow = fbest.copy()
     moves = dx.shape[0]
+    usable = allowed  # allowed[active]; recut only when active shrinks
     for done in range(_MAX_SWEEPS):
         if done and done % _STALL_SWEEPS == 0:
             gain = fwindow - fbest
-            rate = gain / _STALL_SWEEPS
             gap = fbest - fbest.min()
-            step[(rate > 0) & (gap > 0)
-                 & ((gap > rate * (_MAX_SWEEPS - done)) | (gain < tol))] = 0.0
+            step[(gain > 0) & (gap > 0) & (gain < gap + tol)] = 0.0
             fwindow = fbest.copy()
         active = np.flatnonzero(step >= _STEP_MIN)
         if active.size == 0:
             break
+        if active.size != usable.shape[0]:  # steps never grow, so active only shrinks
+            usable = allowed[active]
         h = step[active, None, None]
         xu, yu, valid = project((x[active, None, :] + h * dx).reshape(-1, dim),
                                 (y[active, None, :] + h * dy).reshape(-1, dim))
         # disallowed and invalid moves read +inf, so the row-wise argmin is
         # the first best move of each start's own move list
-        valid &= allowed[active].ravel()
-        vals = np.full(valid.shape, np.inf)
-        if np.any(valid):
-            vals[valid] = (sign * np.asarray(batch_values(xu, yu)))[valid]
-        vals = vals.reshape(active.size, moves)
+        vals = np.where(valid.reshape(active.size, moves) & usable,
+                        sign * np.asarray(batch_values(xu, yu)).reshape(active.size, moves),
+                        np.inf)
         pick = np.argmin(vals, axis=1)
         picked = vals[np.arange(active.size), pick]
         won = picked < fbest[active] - _EPS_IMPROVE
@@ -356,10 +366,11 @@ def certified_extremum(
     the scan evaluates only the pairs j >= i and mirrors the seeds.
     ``scans`` gives each block's ``scan_pairs`` result when it is already known.
 
-    A refined seed behind the best one stops once its gain over a stall
-    window is below ``_GAIN_TOL`` of the width before refinement (best net
-    value against the certified bound): gains that small cannot move the
-    enclosure, and the best seed runs on as it would alone.
+    Refinement runs the gain rule at a tolerance of ``_GAIN_TOL`` of the
+    width before refinement (best net value against the certified bound): a
+    refined seed behind the best one stops once its gain over a stall window
+    could not carry it that far past the best seed, a margin that cannot
+    move the enclosure, and the best seed runs on as it would alone.
 
     ``limit`` is the a priori bound of the objective in the direction of
     refinement: no pair goes below it for an infimum, or above it for a

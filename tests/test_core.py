@@ -244,6 +244,14 @@ def test_permute_norm():
         permute_norm(BlockSum(1, [lp(1, 1), lp(1, 1)]), (1, 0))
 
 
+def test_permute_norm_moves_old_coordinate_i_to_perm_i():
+    # x |-> ||x o perm||: new coordinate perm[i] carries old coordinate i's weight
+    permuted = permute_norm(WeightedP(1, [1, 2, 3]), [1, 2, 0])
+    assert permuted.weights.tolist() == [3.0, 1.0, 2.0]
+    v = np.array([5.0, 7.0, 11.0])
+    assert LatticeSpace(3, permuted).norm_value(v) == 1 * 7.0 + 2 * 11.0 + 3 * 5.0
+
+
 def test_rescale_coordinates_matches_direct():
     rng = np.random.default_rng(17)
     d3 = np.array([2.0, 0.5, 1.25])

@@ -6,16 +6,22 @@ batches of every rank used, across the 8-column boundary where numpy
 switches from in-order to pairwise summation, and must leave its input
 unwritten.  The bits must not depend on the memory layout of the input:
 coordinate-major batches, as the pair scans pass, give the same norms.
+The refinement's ``sphere_projection`` evaluates both arguments in one
+stacked call and must give the bits of one call per argument.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latconst import BlockSum, FormMax, LatticeSpace, MaxOf, Scale, WeightedP, lp
+from latconst.search import sphere_projection
 
 from oracles import reference_eval_abs
+from test_symmetry import _trees
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0, math.inf)
 
@@ -130,3 +136,76 @@ def test_results_are_fresh_buffers():
                  MaxOf([lp(3, 1)]), BlockSum(1.0, [lp(3, 2)]), BlockSum(1.0, [lp(1, 1)] * 3)):
         r1, r2 = expr.eval_abs(a), expr.eval_abs(a)
         assert not np.shares_memory(r1, a) and not np.shares_memory(r1, r2)
+
+
+# ---------------------------------------------------------------------------
+# the refinement's projection: one stacked norm call for both arguments
+# ---------------------------------------------------------------------------
+
+
+def _two_call_projection(space, positive):
+    """The reference: ``sphere_projection`` with one ``norm_values`` call
+    per argument."""
+
+    def project(xc, yc):
+        if positive:
+            np.maximum(xc, 0.0, out=xc)
+            np.maximum(yc, 0.0, out=yc)
+        nx = space.norm_values(xc)
+        ny = space.norm_values(yc)
+        valid = (nx > 1e-12) & (ny > 1e-12)
+        np.place(nx, ~valid, 1.0)
+        np.place(ny, ~valid, 1.0)
+        return xc / nx[:, None], yc / ny[:, None], valid
+
+    return project
+
+
+def _candidates(rng, rows, n):
+    """Signed candidate rows over several decades, with exact zero rows and
+    rows near zero, so that some of them are invalid."""
+    x = rng.uniform(-1.0, 1.0, (rows, n)) * 10.0 ** rng.integers(-3, 2, (rows, 1))
+    x[rng.random(rows) < 0.1] = 0.0
+    tiny = rng.random(rows) < 0.1
+    x[tiny] *= 10.0 ** rng.integers(-16, -11, (int(tiny.sum()), 1))
+    return x
+
+
+def _assert_stacked_projection_matches(expr, rng):
+    space = LatticeSpace(expr.dim, expr)
+    for positive in (False, True):
+        for rows in (1, 7, 40, 129, 600, 1500):
+            xc, yc = _candidates(rng, rows, expr.dim), _candidates(rng, rows, expr.dim)
+            got = sphere_projection(space, positive)(xc.copy(), yc.copy())
+            want = _two_call_projection(space, positive)(xc.copy(), yc.copy())
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes(), (expr, positive, rows)
+
+
+def _projection_cases(rng, n):
+    """Every combinator on R^n: weighted and unit p-norms, FormMax with one
+    and with several rows, MaxOf, Scale and BlockSum."""
+    leaves = [WeightedP(p, _weights(rng, n, unit)) for p in P_VALUES for unit in (True, False)]
+    forms = [FormMax(rng.uniform(0.05, 1.0, (m, n))) for m in (1, 2, 5)]
+    out = leaves + forms + [MaxOf([leaves[3], forms[1]]), Scale(1.5, forms[0]),
+                            Scale(0.7, MaxOf([leaves[0], leaves[9]]))]
+    if n >= 2:
+        out += [BlockSum(p, [lp(1, 1), WeightedP(2.0, _weights(rng, n - 1, False))])
+                for p in (1.0, 1.5, math.inf)]
+        out.append(BlockSum(2.0, [FormMax(rng.uniform(0.05, 1.0, (3, n - 1))), lp(1, 3)]))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_projection_matches_the_two_call_projection(n):
+    rng = np.random.default_rng(900 + n)
+    for expr in _projection_cases(rng, n):
+        _assert_stacked_projection_matches(expr, rng)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(_trees(d), st.integers(0, 2**32 - 1))))
+def test_stacked_projection_matches_on_random_trees(case):
+    norm, seed = case
+    _assert_stacked_projection_matches(norm, np.random.default_rng(seed))
