@@ -17,17 +17,15 @@ of the true problem may round to a net point that just misses it:
 
 No eps enters that net stage (``_delta_scan``), a stage of the ``search``
 stage memo; each eps only selects from it, so sharing it changes no result.
-The best net candidates, and the coordinate sections of the net points moved
-onto the constraint, seed one lockstep (x, t) search, which keeps every
-point on the constraint.  It uses the engine's gain rule (see ``search``): a
-start behind the best one stops once its gain over a stall window is below
-its gap to the best start plus ``search._GAIN_TOL`` times delta's width
-before refinement (the best seed value minus the certified lower bound), so
-only starts that could not pass the best one by a margin able to move the
-enclosure are given up.  A seed that is already at delta's floor 0 once
-moved onto the constraint is returned with no sweep, since no start can go
-lower.  This is the engine's bound rule, applied after the move because
-the net mask admits candidates up to ``_FEAS_TOL`` below the constraint.
+The net seeds are the ``_TOP_K`` smallest (value, i, j) over the pairs that
+meet the constraint, the engine's tie rule (``search._smallest``).  They and
+the coordinate sections of the net points seed one lockstep (x, t) search,
+moved onto the constraint first and kept on it by ``_constraint_projection``.
+It runs through the engine's one entry, ``search.refine_seeds``, with both
+of its rules.  The gain rule's width is the best seed value minus the
+certified lower bound.  The bound rule's limit is delta's floor 0, checked
+after the move, because the net mask admits candidates up to ``_FEAS_TOL``
+below the constraint.
 
 sigma is 1-Lipschitz in x and eps-Lipschitz in y, so its certificate slack
 is (1 + eps) * mesh.  Both moduli take values in [0, 1]; their intervals
@@ -47,7 +45,6 @@ from . import search
 from .constants import ConstantEstimate, _enclosure, _exact, lambda_plus, net_pair_extremum
 from .core import LatticeSpace
 from .nets import box_grid, face_point_count, positive_face_net, resolve_resolution
-from .search import refine_pair_on_sphere
 
 __all__ = [
     "DEFAULT_MODULI_BUDGET",
@@ -199,59 +196,22 @@ def _constraint_projection(space: LatticeSpace, eps: float):
     return project
 
 
-def _refine_delta(
-    space: LatticeSpace,
-    eps: float,
-    seeds: list[tuple[np.ndarray, np.ndarray]],
-    step0: float,
-    tol: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Lockstep refinement over (x on S+, t in the box) from the seed pairs
-    (x, t), moved onto the constraint first and kept on it by
-    ``_constraint_projection``, with the engine's gain rule at tolerance
-    ``tol``; returns the best refined (value, x, t), the earliest seed on ties.
-    When a moved seed is already at delta's floor 0, no start can go lower,
-    so the earliest best moved seed is returned with no sweep."""
-    x0, t0 = (np.array(part) for part in zip(*seeds))
-    t0, feasible = _onto_constraint(space, eps, x0, t0)
-    assert np.all(feasible), "refinement must start from a feasible point"
-    objective = lambda X, T: 1.0 - space.norm_values((1.0 - T) * X)
-    start = objective(x0, t0)
-    if start.min() <= 0.0:
-        b = int(np.argmin(start))
-        return float(start[b]), x0[b], t0[b]
-    # every accepted move passed the projection's feasibility check, so the
-    # witnesses satisfy ||t * x|| >= eps - _FEAS_TOL as the seeds do
-    val, x, t, _ = refine_pair_on_sphere(
-        space, objective, x0, t0, _constraint_projection(space, eps), step0, tol=tol)
-    return val, x, t
-
-
-def _delta_step(space: LatticeSpace, resolution: float | None, pair_budget: int) -> float:
-    return resolve_resolution("delta", space.dim, resolution, pair_budget,
-                              lambda n: face_point_count(space.dim, n) * (n + 1) ** space.dim)
-
-
-def _delta_scan(space: LatticeSpace, resolution: float | None, pair_budget: int):
-    """The net stage of ``delta_m``, which no eps enters: the resolved step,
-    the sphere net, the box grid, the selection blocks (first net row, and
-    ||t*x|| and 1 - ||(1-t)*x|| evaluated on ``search._strips``) and, per
-    nonzero support mask, the norms of the coordinate sections of the net
-    points."""
-    resolution = _delta_step(space, resolution, pair_budget)
-    net = positive_face_net(space, resolution)
-    tgrid = box_grid(space.dim, resolution)
+def _delta_scan(space: LatticeSpace, h: float):
+    """The net stage of ``delta_m`` at the resolved step h, which no eps
+    enters: the sphere net, the box grid, ||t*x|| and 1 - ||(1-t)*x|| over
+    all (net point, grid point) pairs, evaluated on ``search._strips``, and,
+    per nonzero support mask, the norms of the coordinate sections of the
+    net points."""
+    net = positive_face_net(space, h)
+    tgrid = box_grid(space.dim, h)
     pts = net.points
     ynorm, obj = np.empty((2, pts.shape[0], tgrid.shape[0]))
     for i0, i1, _, X, T in search._strips(pts, tgrid, False):
         ynorm[i0:i1] = space.norm_values(X * T)
         obj[i0:i1] = 1.0 - space.norm_values(X * (1.0 - T))
-    block = max(1, 2_000_000 // max(tgrid.shape[0], 1))
-    blocks = [(i0, ynorm[i0 : i0 + block], obj[i0 : i0 + block])
-              for i0 in range(0, pts.shape[0], block)]
     masks = [np.asarray(labels) for labels in itertools.product((0.0, 1.0), repeat=space.dim)]
     sections = [(mask, space.norm_values(pts * mask[None, :])) for mask in masks[1:]]
-    return resolution, net, tgrid, blocks, sections
+    return net, tgrid, ynorm, obj, sections
 
 
 def delta_m(
@@ -265,33 +225,21 @@ def delta_m(
     if eps == 0.0:
         # y = 0 is feasible and gives 1 - ||x|| = 0, exactly
         return _exact("delta", 0.0, space, y_scale=0.0)
-    h = _delta_step(space, resolution, pair_budget)
-    resolution, net, tgrid, blocks, sections = search._stage(
-        ("delta", space, h), lambda: _delta_scan(space, h, pair_budget))
-    relax = net.mesh_norm + 0.5 * float(resolution)
+    h = resolve_resolution("delta", space.dim, resolution, pair_budget,
+                           lambda n: face_point_count(space.dim, n) * (n + 1) ** space.dim)
+    net, tgrid, ynorm, obj, sections = search._stage(
+        ("delta", space, h), lambda: _delta_scan(space, h))
+    relax = net.mesh_norm + 0.5 * h
+    lower = float(np.min(obj[ynorm >= eps - relax], initial=np.inf)) - relax
 
     pts = net.points
     m = tgrid.shape[0]
-    relaxed_min = math.inf
-    strict_candidates: list[tuple[float, int, int]] = []
-    for i0, ynorm, obj in blocks:
-        rel = obj[ynorm >= eps - relax]
-        if rel.size:
-            relaxed_min = min(relaxed_min, float(np.min(rel)))
-        feas = ynorm >= eps - _FEAS_TOL
-        if np.any(feas):
-            masked = np.where(feas, obj, np.inf)
-            flat = masked.ravel()
-            k = min(_TOP_K, flat.size)
-            idx = np.argpartition(flat, k - 1)[:k]
-            for j in idx:
-                v = float(flat[j])
-                if math.isfinite(v):
-                    strict_candidates.append((v, i0 + int(j) // m, int(j) % m))
-    strict_candidates.sort()
-    seeds: list[tuple[float, np.ndarray, np.ndarray]] = [
-        (v, pts[i], tgrid[j]) for v, i, j in strict_candidates[:_TOP_K]
-    ]
+    # net seeds: the engine's tie rule, the _TOP_K smallest (value, i, j)
+    # over the pairs that meet the constraint
+    flat = np.where(ynorm >= eps - _FEAS_TOL, obj, np.inf).ravel()
+    top = sorted((float(flat[c]), int(c) // m, int(c) % m)
+                 for c in search._smallest(flat, min(_TOP_K, flat.size)))
+    seeds = [(v, pts[i], tgrid[j]) for v, i, j in top if math.isfinite(v)]
     # component seeds: the extreme points of the order interval [0, x] are the
     # coordinate sections of x, so also try y = (section of x) rescaled onto
     # the constraint surface, for every support pattern
@@ -305,18 +253,19 @@ def delta_m(
         k = int(np.argmin(vals))
         seeds.append((float(vals[k]), pts[ok][k], mask * scale[k]))
     seeds.sort(key=lambda s: s[0])
-    # the engine's gain rule, at search._GAIN_TOL of the width before
-    # refinement; at 0 when no net point meets the relaxed constraint
-    lower = relaxed_min - relax
-    tol = search._GAIN_TOL * (seeds[0][0] - lower) if math.isfinite(lower) else 0.0
-    best, wx, wt = _refine_delta(
-        space, eps, [(x, t) for _, x, t in seeds[: 2 * _TOP_K]], 2 * resolution, tol)
-    # only refined witnesses count: the scan mask admits net candidates up to
-    # _FEAS_TOL below the constraint, and refinement starts from them again
-    info = {"eps": eps, "resolution": resolution, "net_points": len(net),
-            "pairs_scanned": len(net) * m}
-    return _enclosure("delta", False, lower, best, (wx, wt * wx),
-                      net.mesh_norm, info)
+    _, x0, t0 = (np.array(part) for part in zip(*seeds[: 2 * _TOP_K]))
+    t0, feasible = _onto_constraint(space, eps, x0, t0)
+    assert np.all(feasible), "refinement must start from a feasible point"
+    objective = lambda X, T: 1.0 - space.norm_values((1.0 - T) * X)
+    # the width before refinement is 0 when no net point meets the relaxed
+    # constraint; the estimate comes from the moved seeds, not the net
+    # values, since the scan mask admits candidates up to _FEAS_TOL below
+    # the constraint
+    best, wx, wt = search.refine_seeds(
+        space, objective, x0, t0, objective(x0, t0), _constraint_projection(space, eps), 2 * h,
+        width=seeds[0][0] - lower if math.isfinite(lower) else 0.0, limit=0.0)
+    info = {"eps": eps, "resolution": h, "net_points": len(net), "pairs_scanned": len(net) * m}
+    return _enclosure("delta", False, lower, best, (wx, wt * wx), net.mesh_norm, info)
 
 
 def sigma_curve(space, eps_grid, resolution=None, pair_budget=DEFAULT_MODULI_BUDGET) -> ModulusCurve:
@@ -374,6 +323,17 @@ def characteristic(
 # identity battery
 # ---------------------------------------------------------------------------
 
+def _memo_modulus(memo: dict, which: str, space: LatticeSpace, resolution: float | None,
+                  pair_budget: int, eps: float) -> ConstantEstimate:
+    """``memo``'s estimate of ``which`` ("sigma" or "delta") at eps, under
+    the key (which, space, resolution, pair_budget, eps), computed on a miss
+    by this module's ``sigma`` or ``delta_m`` as bound when it is called."""
+    key = (which, space, resolution, pair_budget, eps)
+    if key not in memo:
+        memo[key] = (sigma if which == "sigma" else delta_m)(space, eps, resolution, pair_budget)
+    return memo[key]
+
+
 _TOL_IDENTITY = 1e-2
 _TOL_SHAPE = 1e-3
 
@@ -404,10 +364,7 @@ def identity_battery(
     memo = {} if memo is None else memo
 
     def cache(which: str, e: float) -> ConstantEstimate:
-        key = (which, space, resolution, pair_budget, e)
-        if key not in memo:
-            memo[key] = (sigma if which == "sigma" else delta_m)(space, e, resolution, pair_budget)
-        return memo[key]
+        return _memo_modulus(memo, which, space, resolution, pair_budget, e)
 
     sig = {e: cache("sigma", e).estimate for e in eps_grid}
     dlt = {e: cache("delta", e).estimate for e in eps_grid}

@@ -1,5 +1,6 @@
 """The certified-extremum engine: net pair scans, projected local
-refinement, ``certified_extremum`` (the one pipeline joining them) and the
+refinement, ``refine_seeds`` (the one place that decides when and how far
+to refine), ``certified_extremum`` (the one pipeline joining them) and the
 stage memo that lets calls share stages (``_stage_scope``).
 
 Every constant and modulus of the package is an inf or sup of a Lipschitz
@@ -8,7 +9,8 @@ scan alone (net value -/+ slack); refinement only polishes the witness,
 improving the attained side.  Objectives broadcast, so the scan (on the
 strips of ``_strips``, the one cut of nets into pieces, which delta's net
 stage uses as well) and the refinement (on row-aligned candidates) call the
-same function; ``scan_pairs`` states the seeds' tie rule.  An
+same function; ``scan_pairs`` states the seeds' tie rule, which delta's net
+seeds follow through ``_smallest`` too.  An
 objective that is symmetric bit for bit (``f(X, Y) == f(Y, X)``, as for
 ``||x + y||``, ``||x - y||`` and their max and min) on one net paired with
 itself is scanned over the upper triangle j >= i only, and its candidate
@@ -23,17 +25,17 @@ as one vectorized batch mapped back to the feasible set by a projection step
 keeps its own best value, step and sweep cap.
 
 Refinement runs only while it can still move an enclosure.  Two rules stop
-it.  The gain rule, the one catch-up rule for trailing seeds: every
-``_STALL_SWEEPS`` sweeps, a seed behind the best one that gained over the
-window stops when that gain is below its gap plus a tolerance, so that one
-more window at its rate could not carry it more than the tolerance past the
-best seed.  ``certified_extremum`` and delta's (x, t) search set the
-tolerance to ``_GAIN_TOL`` of the width before refinement.  The best seed
-never stops early, so it ends where a search from it alone would, and the
-others no better.  The bound rule of ``certified_extremum``: when the best
-net value already sits at the a priori bound in the direction of refinement
-(the floor of an infimum, the ceiling of a supremum), no seed can improve on
-it, so none is refined.
+it, both held by ``refine_seeds``, through which ``certified_extremum`` and
+delta's (x, t) search refine.  The gain rule, the one catch-up rule for
+trailing seeds: every ``_STALL_SWEEPS`` sweeps, a seed behind the best one
+that gained over the window stops when that gain is below its gap plus a
+tolerance, so that one more window at its rate could not carry it more than
+the tolerance past the best seed.  The tolerance is ``_GAIN_TOL`` of the
+width before refinement.  The best seed never stops early, so it ends where
+a search from it alone would, and the others no better.  The bound rule:
+when the best seed already sits at the a priori bound in the direction of
+refinement (the floor of an infimum, the ceiling of a supremum), no seed
+can improve on it, so none is refined.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "sphere_projection",
     "refine_pair_on_sphere",
     "refine_vector_on_sphere",
+    "refine_seeds",
     "certified_extremum",
 ]
 
@@ -338,6 +341,42 @@ def refine_vector_on_sphere(
     return val, x
 
 
+def refine_seeds(
+    space: LatticeSpace,
+    objective: Objective,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    values: np.ndarray,
+    project: Projection,
+    step0: float | Sequence[float],
+    *,
+    maximize: bool = False,
+    support_x: Support = None,
+    support_y: Support = None,
+    width: float,
+    limit: float | None,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The engine's two rules, for every caller that refines seeds: the
+    value and witness pair of the best of the S starts ``x0``/``y0``
+    (whose objective values are ``values``) after refinement.
+
+    The bound rule: when the best start, the earliest on ties, already
+    sits at ``limit``, the a priori bound in the direction of refinement,
+    no start can improve on it, and it is returned with no sweep.  The gain
+    rule: otherwise all starts are refined in lockstep by
+    ``refine_pair_on_sphere`` at the tolerance ``_GAIN_TOL * width``, where
+    ``width`` is the width of the enclosure before refinement.
+    """
+    sign = -1.0 if maximize else 1.0
+    b = int(np.argmin(sign * np.asarray(values)))
+    if limit is not None and sign * values[b] <= sign * limit:
+        return float(values[b]), x0[b].copy(), y0[b].copy()
+    best, x, y, _ = refine_pair_on_sphere(
+        space, objective, x0, y0, project, step0, maximize=maximize,
+        support_x=support_x, support_y=support_y, tol=_GAIN_TOL * width)
+    return best, x, y
+
+
 def certified_extremum(
     space: LatticeSpace,
     objective: Objective,
@@ -357,27 +396,21 @@ def certified_extremum(
     nets whose covered regions are within ``slack`` of the block's extremum
     (sum of per-argument Lipschitz factor times mesh).  The ``top_k`` best
     pairs of every block become seeds; the ``refine`` best seeds overall are
-    refined from step ``step0`` over the block's supports.  Returns the
-    certified bound ``min (max) over blocks of net value -/+ slack``, the
-    best attained value (net or refined), and its witness pair.
+    refined from step ``step0`` over the block's supports by
+    ``refine_seeds``.  Returns the certified bound ``min (max) over blocks
+    of net value -/+ slack``, the best attained value (net or refined), and
+    its witness pair.
 
     ``symmetric`` passes to every block's ``scan_pairs``: the objective is
     symmetric in its arguments and each block pairs one net with itself, so
     the scan evaluates only the pairs j >= i and mirrors the seeds.
     ``scans`` gives each block's ``scan_pairs`` result when it is already known.
 
-    Refinement runs the gain rule at a tolerance of ``_GAIN_TOL`` of the
-    width before refinement (best net value against the certified bound): a
-    refined seed behind the best one stops once its gain over a stall window
-    could not carry it that far past the best seed, a margin that cannot
-    move the enclosure, and the best seed runs on as it would alone.
-
-    ``limit`` is the a priori bound of the objective in the direction of
-    refinement: no pair goes below it for an infimum, or above it for a
-    supremum.  When the best net value already attains it, refinement
-    cannot move either side, so none runs.  The best value is returned with
-    the net pair of the first sorted seed, where refinement would start and,
-    finding nothing better, end.
+    The width before refinement is the best net value against the certified
+    bound.  ``limit`` is the a priori bound of the objective in the direction
+    of refinement: no pair goes below it for an infimum, or above it for a
+    supremum.  When the best net value already attains it, the net pair of
+    the first sorted seed is returned unrefined.
     """
     sign = -1.0 if maximize else 1.0
     bound = np.inf  # signed, so both senses minimize
@@ -390,17 +423,14 @@ def certified_extremum(
         best_net = min(best_net, sign * val)
         seeds.extend((sign * v, b, i, j) for v, i, j in top)
     seeds.sort(key=lambda s: s[0])
-    if limit is not None and best_net <= sign * limit:
-        _, b, i, j = seeds[0]
-        return sign * bound, sign * best_net, (blocks[b][0][i].copy(), blocks[b][1][j].copy())
     starts = []
-    for _, b, i, j in seeds[:refine]:
+    for v, b, i, j in seeds[:refine]:
         xs, ys, _, step0, support_x, support_y = blocks[b]
-        starts.append((xs[i], ys[j], step0, support_x, support_y))
-    x0, y0, step0, support_x, support_y = zip(*starts)
-    best, wx, wy, _ = refine_pair_on_sphere(
-        space, objective, np.array(x0), np.array(y0), sphere_projection(space, positive),
-        step0, maximize=maximize, support_x=list(support_x), support_y=list(support_y),
-        tol=_GAIN_TOL * (best_net - bound),
-    )
+        starts.append((sign * v, xs[i], ys[j], step0, support_x, support_y))
+    values, x0, y0, step0, support_x, support_y = zip(*starts)
+    best, wx, wy = refine_seeds(
+        space, objective, np.array(x0), np.array(y0), np.array(values),
+        sphere_projection(space, positive), step0, maximize=maximize,
+        support_x=list(support_x), support_y=list(support_y),
+        width=best_net - bound, limit=limit)
     return sign * bound, sign * min(sign * best, best_net), (wx, wy)

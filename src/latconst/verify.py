@@ -30,7 +30,7 @@ from .moduli import (
     DEFAULT_MODULI_BUDGET,
     CheckReport,
     CheckResult,
-    delta_m,
+    _memo_modulus,
     identity_battery,
     sigma,
 )
@@ -90,11 +90,8 @@ class SuiteContext:
         return self.battery(name).constants[kind]
 
     def modulus(self, name: str, which: str, eps: float) -> float:
-        key = (which, self.space(name), None, self.moduli_budget, eps)
-        if key not in self.moduli:
-            fn = sigma if which == "sigma" else delta_m
-            self.moduli[key] = fn(self.space(name), eps, pair_budget=self.moduli_budget)
-        return self.moduli[key].estimate
+        return _memo_modulus(self.moduli, which, self.space(name), None, self.moduli_budget,
+                             eps).estimate
 
 
 def _close(a: float, b: float, tol: float) -> bool:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import latconst as lc
-import latconst.moduli as moduli
+import latconst.search as search
 
 BUDGET = 4000
 
@@ -176,7 +176,7 @@ GOLDEN_LONG_TAIL = {
 @pytest.mark.parametrize("eps", sorted(GOLDEN_LONG_TAIL))
 def test_golden_delta_long_tail(eps, monkeypatch):
     sweeps = []
-    refine = moduli.refine_pair_on_sphere
+    refine = search.refine_pair_on_sphere
 
     def counting(space, f, x0, t0, project, step0, **kw):
         sweeps.append(0)
@@ -187,7 +187,7 @@ def test_golden_delta_long_tail(eps, monkeypatch):
 
         return refine(space, f, x0, t0, counted, step0, **kw)
 
-    monkeypatch.setattr(moduli, "refine_pair_on_sphere", counting)
+    monkeypatch.setattr(search, "refine_pair_on_sphere", counting)
     space = lc.LatticeSpace(3, lc.Scale(1.5, lc.builtin_space("l2_3").norm))
     est = lc.delta_m(space, eps, None, 200_000)
     triple, wx, wy = GOLDEN_LONG_TAIL[eps]
@@ -196,7 +196,7 @@ def test_golden_delta_long_tail(eps, monkeypatch):
     assert len(sweeps) == 1 and sweeps[0] <= 300
 
 
-@pytest.mark.xfail(strict=True, reason="_refine_delta admits y just below the constraint "
-                   "||y|| = eps, so the attained side undercuts the true value 1")
+@pytest.mark.xfail(strict=True, reason="moduli._onto_constraint's _FEAS_TOL admits a witness "
+                   "with ||y|| 9e-16 below eps, so the attained side undercuts the true value 1")
 def test_delta_at_one_is_not_undercut():
     assert lc.delta_m(lc.lp_space(2, 1.5), 1.0, pair_budget=4000).upper >= 1.0

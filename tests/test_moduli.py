@@ -308,17 +308,36 @@ def test_delta_net_stage_equals_the_row_major_formula(name):
     # the stage evaluates coordinate-major operands; every value must be the
     # one of the plain row-major products
     space = _stage_spaces()[name]
-    for budget in (_SHARE_BUDGET, 400_000):
-        _, net, tgrid, blocks, sections = moduli._delta_scan(space, None, budget)
+    # the steps 1/n that the budgets 2e4 and 4e5 resolve to: one strip and several
+    for n in {2: (20, 50), 3: (5, 9), 4: (2, 4)}[space.dim]:
+        net, tgrid, ynorm, obj, sections = moduli._delta_scan(space, 1 / n)
         pts = net.points
-        assert [i0 for i0, _, _ in blocks] == list(range(0, len(pts), len(blocks[0][1])))
-        for i0, ynorm, obj in blocks:
-            xb = pts[i0 : i0 + len(ynorm)]
-            assert np.array_equal(ynorm, space.norm_values(xb[:, None, :] * tgrid[None]))
-            assert np.array_equal(obj, 1.0 - space.norm_values(xb[:, None, :] * (1.0 - tgrid)[None]))
-        assert sum(len(ynorm) for _, ynorm, _ in blocks) == len(pts)
+        assert ynorm.shape == obj.shape == (len(pts), len(tgrid))
+        assert np.array_equal(ynorm, space.norm_values(pts[:, None, :] * tgrid[None]))
+        assert np.array_equal(obj, 1.0 - space.norm_values(pts[:, None, :] * (1.0 - tgrid)[None]))
         for mask, norms in sections:
             assert np.array_equal(norms, space.norm_values(pts * mask[None, :]))
+
+
+@pytest.mark.parametrize("name", ["linf_2", "beta_gap"])
+def test_delta_net_seeds_follow_the_engine_tie_rule(name, monkeypatch):
+    # many feasible net pairs tie at delta's floor 0, past the 4th seed: the
+    # net seeds delta_m refines are the 4 smallest (value, i, j) of its stage
+    space, eps = builtin_space(name), 0.5
+    seeds = []
+    real = moduli._onto_constraint
+    monkeypatch.setattr(moduli, "_onto_constraint",
+                        lambda sp, e, x, t: seeds.append((x.copy(), t.copy())) or real(sp, e, x, t))
+    h = delta_m(space, eps, None, 200_000).info["resolution"]
+    net, tgrid, ynorm, obj, _ = moduli._delta_scan(space, h)
+    i, j = np.nonzero(ynorm >= eps - moduli._FEAS_TOL)
+    order = np.lexsort((j, i, obj[i, j]))
+    assert obj[i[order[3]], j[order[3]]] == obj[i[order[4]], j[order[4]]]
+    want = order[: moduli._TOP_K]
+    x0, t0 = seeds[0]
+    # the component seeds sort after the net seeds they tie with
+    assert np.array_equal(x0[: len(want)], net.points[i[want]])
+    assert np.array_equal(t0[: len(want)], tgrid[j[want]])
 
 
 def _count_scans(monkeypatch):
@@ -351,8 +370,8 @@ def test_battery_never_holds_two_scans(monkeypatch):
     def spy(*args):
         assert not any(ref() is not None for ref in alive)
         scan = real(*args)
-        _, _, _, blocks, _ = scan
-        alive.append(weakref.ref(blocks[0][1]))
+        _, _, ynorm, _, _ = scan
+        alive.append(weakref.ref(ynorm))
         return scan
 
     monkeypatch.setattr(moduli, "_delta_scan", spy)
@@ -439,7 +458,7 @@ def test_delta_gain_rule_keeps_planar_panel_enclosures(monkeypatch):
     rng = np.random.default_rng(0)
     panel = [random_polyhedral2_space(rng) for _ in range(8)]
     sweeps, tols = [], []
-    refine = moduli.refine_pair_on_sphere
+    refine = search.refine_pair_on_sphere
 
     def counting(space, f, x0, t0, project, *args, tol=0.0, **kwargs):
         sweeps.append(0)
@@ -451,7 +470,7 @@ def test_delta_gain_rule_keeps_planar_panel_enclosures(monkeypatch):
 
         return refine(space, f, x0, t0, counted, *args, tol=tol, **kwargs)
 
-    monkeypatch.setattr(moduli, "refine_pair_on_sphere", counting)
+    monkeypatch.setattr(search, "refine_pair_on_sphere", counting)
 
     def run():
         sweeps.clear()
@@ -470,35 +489,38 @@ def test_delta_gain_rule_keeps_planar_panel_enclosures(monkeypatch):
 
 
 # delta_m on spaces whose best seed is already at delta's floor 0, at budget
-# 2e5: (lower, upper, estimate), info and witnesses (x, y), recorded when
-# the (x, t) search still ran its 33 to 50 halving sweeps from such a seed
+# 2e5: (lower, upper, estimate), info and witnesses (x, y).  The triples and
+# info were recorded when the (x, t) search still ran its 33 to 50 halving
+# sweeps from such a seed; the witnesses were re-recorded when the net seeds
+# took the engine's tie rule, the smallest (value, i, j), as many net pairs
+# tie at the floor
 GOLDEN_AT_FLOOR = {
     ("linf_2", 0.3): ((0.0, 0.0, 0.0), {"eps": 0.3, "resolution": 0.022222222222222223,
                                          "net_points": 91, "pairs_scanned": 192556},
-                      [1.0, 0.7777777777777778], [0.0, 0.3]),
+                      [0.3111111111111111, 1.0], [0.3, 0.0]),
     ("linf_2", 0.5): ((0.0, 0.0, 0.0), {"eps": 0.5, "resolution": 0.022222222222222223,
                                          "net_points": 91, "pairs_scanned": 192556},
-                      [0.6, 1.0], [0.5, 0.0]),
+                      [0.5111111111111112, 1.0], [0.5, 0.0]),
     ("linf_3", 0.3): ((0.0, 0.0, 0.0), {"eps": 0.3, "resolution": 0.125,
                                          "net_points": 217, "pairs_scanned": 158193},
-                      [1.0, 1.0, 1.0], [0.3, 0.12857142857142856, 0.0]),
+                      [0.0, 0.375, 1.0], [0.0, 0.3, 0.0]),
     ("linf_3", 0.5): ((0.0, 0.0, 0.0), {"eps": 0.5, "resolution": 0.125,
                                          "net_points": 217, "pairs_scanned": 158193},
-                      [0.125, 1.0, 1.0], [0.017857142857142856, 0.0, 0.5]),
+                      [0.0, 0.5, 1.0], [0.0, 0.5, 0.0]),
     ("beta_gap", 0.3): ((0.0, 0.0, 0.0), {"eps": 0.3, "resolution": 0.125,
                                            "net_points": 217, "pairs_scanned": 158193},
-                        [0.5, 0.5, 1.0], [0.0, 0.3, 0.0]),
+                        [0.3, 0.6, 0.8], [0.3, 0.0, 0.0]),
     ("beta_gap", 0.5): ((0.0, 0.0, 0.0), {"eps": 0.5, "resolution": 0.125,
                                            "net_points": 217, "pairs_scanned": 158193},
-                        [0.5, 0.6, 0.8], [0.5, 0.0, 0.0]),
+                        [0.5, 0.5, 1.0], [0.0, 0.5, 0.0]),
 }
 
 
 @pytest.mark.parametrize("name,eps", sorted(GOLDEN_AT_FLOOR))
 def test_delta_at_its_floor_runs_no_sweep(name, eps, monkeypatch):
     calls = []
-    refine = moduli.refine_pair_on_sphere
-    monkeypatch.setattr(moduli, "refine_pair_on_sphere",
+    refine = search.refine_pair_on_sphere
+    monkeypatch.setattr(search, "refine_pair_on_sphere",
                         lambda *args, **kwargs: calls.append(1) or refine(*args, **kwargs))
     est = delta_m(builtin_space(name), eps, None, 200_000)
     triple, info, wx, wy = GOLDEN_AT_FLOOR[name, eps]

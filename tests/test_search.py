@@ -15,7 +15,6 @@ import pytest
 
 import latconst as lc
 import latconst.constants as lc_constants
-import latconst.moduli as moduli
 import latconst.search as search
 from latconst.nets import half_sphere_net, positive_face_net, support_pairs
 from latconst.search import refine_pair_on_sphere, scan_pairs, sphere_projection
@@ -410,18 +409,18 @@ def test_lone_and_idle_starts_are_never_stopped(monkeypatch):
         assert np.array_equal(x, rx) and np.array_equal(y, ry), s
     monkeypatch.undo()
 
-    # a start that gained nothing over a window goes on: in delta_m(l15_2)
+    # a start that gained nothing over a window goes on: in delta_m(l15_3)
     # at eps = 1 the start that ends best still sits at its initial value
     # after the first window, behind another start, and only then moves
     calls = []
-    refine = moduli.refine_pair_on_sphere
+    refine = search.refine_pair_on_sphere
 
     def spy(*args, **kw):
         calls.append(args)
         return refine(*args, **kw)
 
-    monkeypatch.setattr(moduli, "refine_pair_on_sphere", spy)
-    est = lc.delta_m(lc.lp_space(2, 1.5), 1.0, None, 4000)
+    monkeypatch.setattr(search, "refine_pair_on_sphere", spy)
+    est = lc.delta_m(lc.lp_space(3, 1.5), 1.0, None, 4000)
     [(space, f, x0, t0, project, step0)] = calls
 
     def single(s):
@@ -431,7 +430,7 @@ def test_lone_and_idle_starts_are_never_stopped(monkeypatch):
     monkeypatch.setattr(search, "_MAX_SWEEPS", search._STALL_SWEEPS)
     first_window = [single(s) for s in range(len(x0))]
     b = int(np.argmin(final))
-    assert est.upper == final[b] == 0.9999999998730015
+    assert est.upper == final[b] == 0.9999999998641821
     assert first_window[b] == f(x0, t0)[b] > min(first_window)
 
 
@@ -516,18 +515,18 @@ def test_gain_rule_spares_lone_and_idle_starts(monkeypatch):
                                                 maximize=maximize, tol=np.inf)
         assert val == tval and np.array_equal(x, tx) and np.array_equal(y, ty), s
 
-    # a start with no gain over a window goes on: in delta_m(l15_2) at
+    # a start with no gain over a window goes on: in delta_m(l15_3) at
     # eps = 1 the start that ends best sits idle behind another start for
     # the first window
     calls = []
-    refine = moduli.refine_pair_on_sphere
+    refine = search.refine_pair_on_sphere
 
     def spy(*args, **kw):
         calls.append(args)
         return refine(*args, **kw)
 
-    monkeypatch.setattr(moduli, "refine_pair_on_sphere", spy)
-    est = lc.delta_m(lc.lp_space(2, 1.5), 1.0, None, 4000)
+    monkeypatch.setattr(search, "refine_pair_on_sphere", spy)
+    est = lc.delta_m(lc.lp_space(3, 1.5), 1.0, None, 4000)
     [(space, f, x0, t0, project, step0)] = calls
     for tol in (1e-3, np.inf):
         assert refine(space, f, x0, t0, project, step0, tol=tol)[0] == est.upper, tol

@@ -93,7 +93,7 @@ def test_failed_identity_battery_leaves_no_stage(monkeypatch):
 
     def spy(*args):
         scan = real_scan(*args)
-        alive.append(weakref.ref(scan[3][0][1]))
+        alive.append(weakref.ref(scan[2]))  # the ||t*x|| array
         return scan
 
     monkeypatch.setattr(moduli, "_delta_scan", spy)
