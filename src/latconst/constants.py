@@ -175,6 +175,26 @@ def net_pair_extremum(
     bit, when x and y swap, so a scan of one net paired with itself covers
     every ordered pair from the pairs j >= i.
     """
+    [est] = net_pair_extrema(space, kind, objective, [(lipschitz, symmetric, None)], resolution,
+                             pair_budget, maximize, full_sphere)
+    return est
+
+
+def net_pair_extrema(
+    space: LatticeSpace,
+    kind: str,
+    objective,
+    problems: list[tuple[float, bool, float | None]],
+    resolution: float | None,
+    pair_budget: int,
+    maximize: bool = False,
+    full_sphere: bool = False,
+) -> list[ConstantEstimate]:
+    """``net_pair_extremum`` of several problems ``(lipschitz, symmetric,
+    param)`` on one net: each is scanned on its own, with the objective
+    ``objective(X, Y, param)`` unless its param is None, and all are refined
+    in one lockstep (``search.certified_extrema``).  The moduli pass eps as
+    the param."""
     orbits = 2 ** (space.dim - 1) if full_sphere else 1
     h = resolve_resolution(kind, space.dim, resolution, pair_budget,
                            lambda n: (orbits * face_point_count(space.dim, n)) ** 2)
@@ -186,13 +206,14 @@ def net_pair_extremum(
         net, found = positive_face_net(space, h), None
         xs = _domain_points(space, net.points)
     top = _TOP_K_SIGNED if full_sphere else _TOP_K_PAIRS
-    block = (xs, net.points, lipschitz * net.mesh_norm, 2 * h, None, None)
-    certified, attained, witnesses = certified_extremum(
-        space, objective, [block], maximize, not full_sphere, top_k=top, refine=top,
-        symmetric=symmetric and xs is net.points, scans=found,
-        limit=_a_priori_range(kind)[maximize])
+    results = search.certified_extrema(
+        space, objective,
+        [([(xs, net.points, lipschitz * net.mesh_norm, 2 * h, None, None)],
+          symmetric and xs is net.points, found, param) for lipschitz, symmetric, param in problems],
+        maximize, not full_sphere, top_k=top, refine=top, limit=_a_priori_range(kind)[maximize])
     info = {"resolution": h, "net_points": len(net), "pairs_scanned": len(xs) * len(net)}
-    return _enclosure(kind, maximize, certified, attained, witnesses, net.mesh_norm, info)
+    return [_enclosure(kind, maximize, certified, attained, witnesses, net.mesh_norm, dict(info))
+            for certified, attained, witnesses in results]
 
 
 def lambda_plus(

@@ -173,14 +173,16 @@ def _fold(ufunc, cols):
         # numpy sums pairwise only along a contiguous last axis
         cols = np.ascontiguousarray(cols) if is_array else np.stack(cols, axis=-1)
         return np.add.reduce(cols, axis=-1, dtype=float)
-    if is_array:
-        out = cols[..., 0].astype(float)
-        for k in range(1, n):
-            ufunc(out, cols[..., k], out=out)
+    if not is_array:
+        out, rest = np.asarray(cols[0]), cols[1:]
+    elif n > 1 and cols.ndim > 1 and cols.dtype == float:
+        # the first fold writes the fresh buffer (on 0-d columns it would
+        # return a scalar, which cannot take the later folds)
+        out, rest = ufunc(cols[..., 0], cols[..., 1]), [cols[..., k] for k in range(2, n)]
     else:
-        out = np.asarray(cols[0])
-        for c in cols[1:]:
-            ufunc(out, c, out=out)
+        out, rest = cols[..., 0].astype(float), [cols[..., k] for k in range(1, n)]
+    for c in rest:
+        ufunc(out, c, out=out)
     return out[()]
 
 
@@ -225,9 +227,10 @@ class WeightedP(NormExpr):
         self.weights = w
         self.dim = w.size
         self._unit = bool(np.all(w == 1.0))  # multiplying by 1.0 changes no bit
+        self._inf = bool(np.isinf(self.p))
 
     def eval_abs(self, a):
-        if np.isinf(self.p):
+        if self._inf:
             return _fold(np.maximum, a if self._unit else self.weights * a)
         if self.p == 1.0:
             return _fold(np.add, a if self._unit else self.weights * a)

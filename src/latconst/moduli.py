@@ -19,13 +19,24 @@ No eps enters that net stage (``_delta_scan``), a stage of the ``search``
 stage memo; each eps only selects from it, so sharing it changes no result.
 The net seeds are the ``_TOP_K`` smallest (value, i, j) over the pairs that
 meet the constraint, the engine's tie rule (``search._smallest``).  They and
-the coordinate sections of the net points seed one lockstep (x, t) search,
+the coordinate sections of the net points seed a lockstep (x, t) search,
 moved onto the constraint first and kept on it by ``_constraint_projection``.
 It runs through the engine's one entry, ``search.refine_seeds``, with both
 of its rules.  The gain rule's width is the best seed value minus the
 certified lower bound.  The bound rule's limit is delta's floor 0, checked
 after the move, because the net mask admits candidates up to ``_FEAS_TOL``
 below the constraint.
+
+Whole eps lists.  Each modulus has one list path, ``_sigmas`` and
+``_deltas``: the per-eps work (sigma's scan on one net built per list,
+delta's selection from the one net stage, built only when some eps is
+nonzero), then one grouped refinement of every eps's seeds, in which the
+objective and the projection read each row's eps.  A group ends as its eps
+refined alone would, so ``sigma``/``delta_m`` (one-element calls of the
+list path), ``sigma_curve``/``delta_curve`` (one call each) and the
+``identity_battery`` memo (three lists: the grid, the points e/(1+e) and the
+points e/(1+sigma(e))) give the same bits.  The bisection of
+``characteristic`` stays sequential, since each probe depends on the last.
 
 sigma is 1-Lipschitz in x and eps-Lipschitz in y, so its certificate slack
 is (1 + eps) * mesh.  Both moduli take values in [0, 1]; their intervals
@@ -42,7 +53,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import search
-from .constants import ConstantEstimate, _enclosure, _exact, lambda_plus, net_pair_extremum
+from .constants import ConstantEstimate, _enclosure, _exact, lambda_plus, net_pair_extrema
 from .core import LatticeSpace
 from .nets import box_grid, face_point_count, positive_face_net, resolve_resolution
 
@@ -145,6 +156,28 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
+def _sigmas(space: LatticeSpace, eps_list, resolution: float | None,
+            pair_budget: int) -> list[ConstantEstimate]:
+    """``sigma`` at every eps of the list: one net, one scan per nonzero
+    eps, and one grouped refinement of all their seeds."""
+    eps_list = [_check_eps(e) for e in eps_list]
+    nonzero = [e for e in eps_list if e != 0.0]
+    # X + 1.0 * Y is exactly X + Y, so the objective is symmetric at eps = 1
+    ests = iter(net_pair_extrema(
+        space, "sigma", lambda X, Y, e: space.norm_values(X + e * Y) - 1.0,
+        [(1.0 + e, e == 1.0, e) for e in nonzero], resolution, pair_budget) if nonzero else ())
+    out = []
+    for e in eps_list:
+        if e == 0.0:
+            # ||x + 0*y|| - 1 = 0 on the sphere, exactly
+            out.append(_exact("sigma", 0.0, space))
+        else:
+            est = next(ests)
+            est.info = {"eps": e} | est.info
+            out.append(est)
+    return out
+
+
 def sigma(
     space: LatticeSpace,
     eps: float,
@@ -152,15 +185,7 @@ def sigma(
     pair_budget: int = DEFAULT_MODULI_BUDGET,
 ) -> ConstantEstimate:
     """Upper modulus of monotonicity at eps, with certificate slack (1+eps)*mesh."""
-    eps = _check_eps(eps)
-    if eps == 0.0:
-        # ||x + 0*y|| - 1 = 0 on the sphere, exactly
-        return _exact("sigma", 0.0, space)
-    # X + 1.0 * Y is exactly X + Y, so the objective is symmetric at eps = 1
-    est = net_pair_extremum(space, "sigma", lambda X, Y: space.norm_values(X + eps * Y) - 1.0,
-                            1.0 + eps, resolution, pair_budget, symmetric=eps == 1.0)
-    est.info = {"eps": eps} | est.info
-    return est
+    return _sigmas(space, [eps], resolution, pair_budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +204,19 @@ def _onto_constraint(space: LatticeSpace, eps: float, x: np.ndarray, t: np.ndarr
     return tr, (space.norm_values(tr * x) >= eps - _FEAS_TOL) & (nv > _FEAS_TOL)
 
 
-def _constraint_projection(space: LatticeSpace, eps: float):
+def _constraint_projection(space: LatticeSpace):
     """Projection step for the (x, t) search: x radially onto S+, t clipped
-    to the box and moved onto the constraint by ``_onto_constraint``."""
+    to the box and moved onto the constraint by ``_onto_constraint`` at
+    each row's eps, the (rows, 1) column ``eps``."""
 
-    def project(xc: np.ndarray, tc: np.ndarray):
+    def project(xc: np.ndarray, tc: np.ndarray, eps: np.ndarray):
         np.maximum(xc, 0.0, out=xc)
         np.clip(tc, 0.0, 1.0, out=tc)
         nx = space.norm_values(xc)
         valid = nx > 1e-12
         np.place(nx, ~valid, 1.0)
         xu = xc / nx[:, None]
-        tr, feas = _onto_constraint(space, eps, xu, tc)
+        tr, feas = _onto_constraint(space, eps[:, 0], xu, tc)
         return xu, tr, valid & feas
 
     return project
@@ -214,24 +240,12 @@ def _delta_scan(space: LatticeSpace, h: float):
     return net, tgrid, ynorm, obj, sections
 
 
-def delta_m(
-    space: LatticeSpace,
-    eps: float,
-    resolution: float | None = None,
-    pair_budget: int = DEFAULT_MODULI_BUDGET,
-) -> ConstantEstimate:
-    """Lower modulus of uniform monotonicity at eps (see module docs)."""
-    eps = _check_eps(eps)
-    if eps == 0.0:
-        # y = 0 is feasible and gives 1 - ||x|| = 0, exactly
-        return _exact("delta", 0.0, space, y_scale=0.0)
-    h = resolve_resolution("delta", space.dim, resolution, pair_budget,
-                           lambda n: face_point_count(space.dim, n) * (n + 1) ** space.dim)
-    net, tgrid, ynorm, obj, sections = search._stage(
-        ("delta", space, h), lambda: _delta_scan(space, h))
+def _delta_seeds(space: LatticeSpace, stage, h: float, eps: float, objective):
+    """delta's selection at one nonzero eps from the net stage: the
+    certified lower bound and the refinement problem of its seeds."""
+    net, tgrid, ynorm, obj, sections = stage
     relax = net.mesh_norm + 0.5 * h
     lower = float(np.min(obj[ynorm >= eps - relax], initial=np.inf)) - relax
-
     pts = net.points
     m = tgrid.shape[0]
     # net seeds: the engine's tie rule, the _TOP_K smallest (value, i, j)
@@ -256,27 +270,62 @@ def delta_m(
     _, x0, t0 = (np.array(part) for part in zip(*seeds[: 2 * _TOP_K]))
     t0, feasible = _onto_constraint(space, eps, x0, t0)
     assert np.all(feasible), "refinement must start from a feasible point"
-    objective = lambda X, T: 1.0 - space.norm_values((1.0 - T) * X)
     # the width before refinement is 0 when no net point meets the relaxed
     # constraint; the estimate comes from the moved seeds, not the net
     # values, since the scan mask admits candidates up to _FEAS_TOL below
     # the constraint
-    best, wx, wt = search.refine_seeds(
-        space, objective, x0, t0, objective(x0, t0), _constraint_projection(space, eps), 2 * h,
-        width=seeds[0][0] - lower if math.isfinite(lower) else 0.0, limit=0.0)
-    info = {"eps": eps, "resolution": h, "net_points": len(net), "pairs_scanned": len(net) * m}
-    return _enclosure("delta", False, lower, best, (wx, wt * wx), net.mesh_norm, info)
+    width = seeds[0][0] - lower if math.isfinite(lower) else 0.0
+    return lower, search.Seeds(x0, t0, objective(x0, t0, eps), 2 * h, width=width, limit=0.0,
+                               param=eps)
+
+
+def _deltas(space: LatticeSpace, eps_list, resolution: float | None,
+            pair_budget: int) -> list[ConstantEstimate]:
+    """``delta_m`` at every eps of the list: one net stage, built only when
+    some eps is nonzero, a selection per nonzero eps, and one grouped
+    refinement of all their seeds."""
+    eps_list = [_check_eps(e) for e in eps_list]
+    nonzero = [e for e in eps_list if e != 0.0]
+    if nonzero:
+        h = resolve_resolution("delta", space.dim, resolution, pair_budget,
+                               lambda n: face_point_count(space.dim, n) * (n + 1) ** space.dim)
+        stage = search._stage(("delta", space, h), lambda: _delta_scan(space, h))
+        net = stage[0]
+        objective = lambda X, T, e: 1.0 - space.norm_values((1.0 - T) * X)
+        lowers, problems = zip(*(_delta_seeds(space, stage, h, e, objective) for e in nonzero))
+        refined = iter(zip(lowers, search.refine_seeds(
+            space, objective, list(problems), _constraint_projection(space))))
+    out = []
+    for e in eps_list:
+        if e == 0.0:
+            # y = 0 is feasible and gives 1 - ||x|| = 0, exactly
+            out.append(_exact("delta", 0.0, space, y_scale=0.0))
+            continue
+        lower, (best, wx, wt) = next(refined)
+        info = {"eps": e, "resolution": h, "net_points": len(net),
+                "pairs_scanned": len(net) * len(stage[1])}
+        out.append(_enclosure("delta", False, lower, best, (wx, wt * wx), net.mesh_norm, info))
+    return out
+
+
+def delta_m(
+    space: LatticeSpace,
+    eps: float,
+    resolution: float | None = None,
+    pair_budget: int = DEFAULT_MODULI_BUDGET,
+) -> ConstantEstimate:
+    """Lower modulus of uniform monotonicity at eps (see module docs)."""
+    return _deltas(space, [eps], resolution, pair_budget)[0]
 
 
 def sigma_curve(space, eps_grid, resolution=None, pair_budget=DEFAULT_MODULI_BUDGET) -> ModulusCurve:
-    vals = [sigma(space, e, resolution, pair_budget) for e in eps_grid]
-    return ModulusCurve("sigma", [float(e) for e in eps_grid], vals)
+    return ModulusCurve("sigma", [float(e) for e in eps_grid],
+                        _sigmas(space, eps_grid, resolution, pair_budget))
 
 
-@search._stage_scope()
 def delta_curve(space, eps_grid, resolution=None, pair_budget=DEFAULT_MODULI_BUDGET) -> ModulusCurve:
-    vals = [delta_m(space, e, resolution, pair_budget) for e in eps_grid]
-    return ModulusCurve("delta", [float(e) for e in eps_grid], vals)
+    return ModulusCurve("delta", [float(e) for e in eps_grid],
+                        _deltas(space, eps_grid, resolution, pair_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +372,17 @@ def characteristic(
 # identity battery
 # ---------------------------------------------------------------------------
 
-def _memo_modulus(memo: dict, which: str, space: LatticeSpace, resolution: float | None,
-                  pair_budget: int, eps: float) -> ConstantEstimate:
-    """``memo``'s estimate of ``which`` ("sigma" or "delta") at eps, under
-    the key (which, space, resolution, pair_budget, eps), computed on a miss
-    by this module's ``sigma`` or ``delta_m`` as bound when it is called."""
-    key = (which, space, resolution, pair_budget, eps)
-    if key not in memo:
-        memo[key] = (sigma if which == "sigma" else delta_m)(space, eps, resolution, pair_budget)
-    return memo[key]
+def _memo_moduli(memo: dict, which: str, space: LatticeSpace, resolution: float | None,
+                 pair_budget: int, eps_list) -> list[ConstantEstimate]:
+    """``memo``'s estimates of ``which`` ("sigma" or "delta") at every eps of
+    the list, under the keys (which, space, resolution, pair_budget, eps);
+    the misses are computed by one call of ``_sigmas`` or ``_deltas``."""
+    keys = [(which, space, resolution, pair_budget, e) for e in eps_list]
+    missing = list(dict.fromkeys(k for k in keys if k not in memo))
+    if missing:
+        compute = _sigmas if which == "sigma" else _deltas
+        memo.update(zip(missing, compute(space, [k[-1] for k in missing], resolution, pair_budget)))
+    return [memo[k] for k in keys]
 
 
 _TOL_IDENTITY = 1e-2
@@ -363,20 +414,29 @@ def identity_battery(
         raise ValueError("eps grid must be nonempty and lie inside [0, 1]")
     memo = {} if memo is None else memo
 
-    def cache(which: str, e: float) -> ConstantEstimate:
-        return _memo_modulus(memo, which, space, resolution, pair_budget, e)
+    def fetch(which: str, eps_list) -> list[float]:
+        return [est.estimate for est in
+                _memo_moduli(memo, which, space, resolution, pair_budget, eps_list)]
 
-    sig = {e: cache("sigma", e).estimate for e in eps_grid}
-    dlt = {e: cache("delta", e).estimate for e in eps_grid}
+    def at(which: str, e: float) -> float:
+        return fetch(which, [e])[0]
+
+    # three lists, each computed by one grouped refinement: the grid, the
+    # points e/(1+e) and the points e/(1+sigma(e))
+    sig = dict(zip(eps_grid, fetch("sigma", eps_grid)))
+    dlt = dict(zip(eps_grid, fetch("delta", eps_grid)))
+    inner = [e for e in eps_grid if 0.0 < e < 1.0]
+    shifted = dict(zip(inner, fetch("delta", [e / (1.0 + e) for e in inner])))
+    ratio_points = dict(zip(eps_grid, fetch("delta", [e / (1.0 + sig[e]) for e in eps_grid])))
     lam = lambda_plus(space, resolution, pair_budget).estimate
     checks: list[CheckResult] = []
 
     checks.append(CheckResult(
-        "sigma_zero_at_zero", cache("sigma", 0.0).estimate == 0.0,
-        details={"value": cache("sigma", 0.0).estimate}))
+        "sigma_zero_at_zero", at("sigma", 0.0) == 0.0,
+        details={"value": at("sigma", 0.0)}))
     checks.append(CheckResult(
-        "delta_zero_at_zero", cache("delta", 0.0).estimate == 0.0,
-        details={"value": cache("delta", 0.0).estimate}))
+        "delta_zero_at_zero", at("delta", 0.0) == 0.0,
+        details={"value": at("delta", 0.0)}))
 
     diffs_s = [sig[b] - sig[a] for a, b in zip(eps_grid, eps_grid[1:])]
     checks.append(CheckResult(
@@ -393,10 +453,8 @@ def identity_battery(
 
     # two-sided ratio bounds, interior grid points only
     worst_lo = worst_hi = -math.inf
-    for e in eps_grid:
-        if not (0.0 < e < 1.0):
-            continue
-        lo = _ratio(cache("delta", e / (1.0 + e)).estimate)
+    for e in inner:
+        lo = _ratio(shifted[e])
         hi = _ratio(dlt[e])
         worst_lo = max(worst_lo, lo - sig[e])
         worst_hi = max(worst_hi, sig[e] - hi)
@@ -409,8 +467,7 @@ def identity_battery(
     worst = 0.0
     for e in eps_grid:
         s = sig[e]
-        d = cache("delta", e / (1.0 + s)).estimate
-        worst = max(worst, abs(d - s / (1.0 + s)))
+        worst = max(worst, abs(ratio_points[e] - s / (1.0 + s)))
     checks.append(CheckResult(
         "shifted_ratio_identity", worst <= _TOL_IDENTITY, details={"max_abs_dev": worst}))
 
@@ -420,14 +477,14 @@ def identity_battery(
         "lambda_plus_sigma_bound", worst <= _TOL_IDENTITY, details={"max_excess": worst}))
 
     # delta at 1/lambda_plus equals (lambda_plus - 1)/lambda_plus
-    d_at = cache("delta", 1.0 / lam).estimate
+    d_at = at("delta", 1.0 / lam)
     dev = abs(d_at - (lam - 1.0) / lam)
     checks.append(CheckResult(
         "delta_at_inverse_lambda_plus", dev <= _TOL_IDENTITY,
         details={"delta": d_at, "expected": (lam - 1.0) / lam, "abs_dev": dev}))
 
     # 1/(1 - delta(1/2)) <= lambda_plus
-    lhs = 1.0 / (1.0 - min(cache("delta", 0.5).estimate, 1.0 - 1e-12))
+    lhs = 1.0 / (1.0 - min(at("delta", 0.5), 1.0 - 1e-12))
     checks.append(CheckResult(
         "lambda_plus_lower_from_delta_half", lhs <= lam + _TOL_IDENTITY,
         details={"lhs": lhs, "lambda_plus": lam}))
@@ -441,7 +498,7 @@ def identity_battery(
         "characteristic_sandwich",
         char_d.value <= char_s.value + ctol and char_s.value <= 2.0 * char_d.value + ctol,
         details={"eps0": char_d.value, "tilde_eps0": char_s.value}))
-    s_at = cache("sigma", min(char_s.value, 1.0)).estimate
+    s_at = at("sigma", min(char_s.value, 1.0))
     checks.append(CheckResult(
         "sigma_vanishes_at_characteristic", s_at <= _CHAR_THRESHOLD + ctol,
         details={"sigma_at_characteristic": s_at, "threshold": _CHAR_THRESHOLD}))

@@ -1,7 +1,8 @@
 """The certified-extremum engine: net pair scans, projected local
 refinement, ``refine_seeds`` (the one place that decides when and how far
-to refine), ``certified_extremum`` (the one pipeline joining them) and the
-stage memo that lets calls share stages (``_stage_scope``).
+to refine), ``certified_extrema`` (the one pipeline joining them, of which
+``certified_extremum`` is the one-problem call) and the stage memo that
+lets calls share stages (``_stage_scope``).
 
 Every constant and modulus of the package is an inf or sup of a Lipschitz
 objective ``f(X, Y)`` over point pairs.  Certified bounds come from the net
@@ -24,18 +25,27 @@ as one vectorized batch mapped back to the feasible set by a projection step
 (radial onto the sphere, or one supplied by the caller), while each seed
 keeps its own best value, step and sweep cap.
 
+Grouped lockstep.  A sweep costs about the same few dozen numpy calls
+whatever its row count, so independent problems that share an objective
+(a modulus on a whole eps grid) are refined in one lockstep call: each
+problem's seeds form a group, the objective and the projection read a
+per-row parameter (eps), and the gain rule compares a seed only with the
+best seed of its own group.  So every problem ends as it would alone, and
+a grid of problems costs the sweeps of its slowest problem.
+
 Refinement runs only while it can still move an enclosure.  Two rules stop
-it, both held by ``refine_seeds``, through which ``certified_extremum`` and
+it, both held by ``refine_seeds``, through which ``certified_extrema`` and
 delta's (x, t) search refine.  The gain rule, the one catch-up rule for
 trailing seeds: every ``_STALL_SWEEPS`` sweeps, a seed behind the best one
-that gained over the window stops when that gain is below its gap plus a
-tolerance, so that one more window at its rate could not carry it more than
-the tolerance past the best seed.  The tolerance is ``_GAIN_TOL`` of the
-width before refinement.  The best seed never stops early, so it ends where
-a search from it alone would, and the others no better.  The bound rule:
-when the best seed already sits at the a priori bound in the direction of
-refinement (the floor of an infimum, the ceiling of a supremum), no seed
-can improve on it, so none is refined.
+of its problem that gained over the window stops when that gain is below
+its gap plus a tolerance, so that one more window at its rate could not
+carry it more than the tolerance past the best seed.  The tolerance is
+``_GAIN_TOL`` of the problem's width before refinement.  The best seed
+never stops early, so it ends where a search from it alone would, and the
+others no better.  The bound rule: when a problem's best seed already sits
+at the a priori bound in the direction of refinement (the floor of an
+infimum, the ceiling of a supremum), no seed can improve on it, so none of
+its seeds is refined.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import contextlib
 import contextvars
 from functools import cache
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +66,7 @@ __all__ = [
     "refine_pair_on_sphere",
     "refine_vector_on_sphere",
     "refine_seeds",
+    "certified_extrema",
     "certified_extremum",
 ]
 
@@ -83,7 +94,7 @@ def _stage_scope():
     """The stage memo: stages that several calls read (lambda's and james's
     half-sphere scan, delta's net stage), keyed (kind, space, resolved step).
     The outermost scope of a thread owns it, nested scopes share it, and it
-    is dropped when the owner exits; ``constant_battery``, ``delta_curve``,
+    is dropped when the owner exits; ``constant_battery``,
     ``characteristic`` and ``identity_battery`` are scopes."""
     token = None if _stages.get() is not None else _stages.set({})
     try:
@@ -207,21 +218,27 @@ def _move_directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
+def _per_start(value, starts: int) -> list:
+    """A step or support, shared or given as a list, as a list with one
+    entry per start."""
+    return value if isinstance(value, list) else [value] * starts
+
+
 def _move_mask(moved: np.ndarray, support: Support, starts: int) -> np.ndarray:
     """(starts, moves) mask of the moves that stay inside each start's
     support, given which coordinates each move changes (``moved``, of shape
     (moves, dim)); ``support`` is None (all coordinates), one tuple of
     coordinates for every start, or a list with one entry per start."""
-    per_start = support if isinstance(support, list) else [support] * starts
     inside = np.zeros((starts, moved.shape[1]), dtype=bool)
-    for s, coords in enumerate(per_start):
+    for s, coords in enumerate(_per_start(support, starts)):
         inside[s, slice(None) if coords is None else list(coords)] = True
     return np.all(moved <= inside[:, None, :], axis=2)
 
 
 def sphere_projection(space: LatticeSpace, positive: bool) -> Projection:
     """Radial projection of candidate pairs onto the unit sphere (clamped to
-    the positive cone first when ``positive``); near-zero rows are invalid.
+    the positive cone first when ``positive``); near-zero rows are invalid,
+    and a row parameter (see ``refine_pair_on_sphere``) is ignored.
 
     Both arguments' norms come from one ``norm_values`` call on the stacked
     (2, rows, dim) batch.  Every combinator evaluates it elementwise or, for
@@ -229,7 +246,7 @@ def sphere_projection(space: LatticeSpace, positive: bool) -> Projection:
     bits are those of one call per argument; a (2 * rows, dim) batch would
     not keep them, because the product rounds by its row count."""
 
-    def project(xc: np.ndarray, yc: np.ndarray):
+    def project(xc: np.ndarray, yc: np.ndarray, _param=None):
         xy = np.stack((xc, yc))
         if positive:
             np.maximum(xy, 0.0, out=xy)
@@ -252,31 +269,42 @@ def refine_pair_on_sphere(
     maximize: bool = False,
     support_x: Support = None,
     support_y: Support = None,
-    tol: float = 0.0,
+    tol: float | Sequence[float] = 0.0,
+    group: Sequence[int] | None = None,
+    param: Sequence[float] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Projected coordinate search with step halving, from S starts in lockstep.
 
-    ``x0``/``y0`` are one start (dim,) or S starts (S, dim); ``step0`` and
-    the supports ``support_*`` (which restrict the moving coordinates and so
-    preserve zero patterns in disjoint-support problems) are shared or given
-    per start (see ``_move_mask``).  ``batch_values(X, Y)`` maps
-    row-aligned candidate pairs to objective values; ``project(XC, YC)`` maps
-    the moved candidates back to the feasible set and flags the valid rows
-    (``sphere_projection`` for sphere pairs).
+    ``x0``/``y0`` are one start (dim,) or S starts (S, dim); ``step0``,
+    ``tol`` and the supports ``support_*`` (which restrict the moving
+    coordinates and so preserve zero patterns in disjoint-support problems)
+    are shared or given per start (see ``_move_mask``).  ``batch_values(X, Y)``
+    maps row-aligned candidate pairs to objective values; ``project(XC, YC)``
+    maps the moved candidates back to the feasible set and flags the valid
+    rows (``sphere_projection`` for sphere pairs).  With a per-start
+    ``param`` (eps for the moduli), both are called with a third argument,
+    the (rows, 1) column of every row's start parameter.
 
     Each sweep moves every start whose step is still at least ``_STEP_MIN``,
     through one projection and one objective call on all their candidates.
     A start keeps its own best value and step, and stops after
     ``_MAX_SWEEPS`` sweeps.  Every ``_STALL_SWEEPS`` sweeps, a start behind
-    the best start that gained over the last window stops too when that
-    gain is below its gap to the best start plus ``tol``: one more window at
-    its rate could not carry it more than ``tol`` past the best start.  The
+    the best start of its group that gained over the last window stops too
+    when that gain is below its gap to that start plus its ``tol``: one more
+    window at its rate could not carry it more than ``tol`` past it.  The
     best start, a start refined alone and a start with no gain over the
     window go on.  So the returned best value and witness are those of the
     best single-start call (unless a stopped start would later have sped up
     past it), and a stopped start reports a value no better than its
     single-start call gives (row for row, whenever the norm evaluates rows
     independently).
+
+    ``group`` labels the starts of several independent problems (all in
+    one group by default).  A start's gap is measured within its group
+    only, so each group's starts end as a call with that group alone would
+    leave them, bit for bit wherever the norm evaluates rows independently
+    (``FormMax`` rounds a one-row batch apart): the groups share the sweeps'
+    numpy calls and nothing else.
 
     Returns the value and witness pair of the best start (the earliest one
     on ties), then the per-start values and witnesses.
@@ -286,30 +314,37 @@ def refine_pair_on_sphere(
     y = np.array(np.atleast_2d(y0), dtype=float)
     starts, dim = x.shape
     step = np.array(np.broadcast_to(np.asarray(step0, dtype=float), (starts,)))
+    group = np.zeros(starts, dtype=int) if group is None else np.asarray(group)
+    lead = np.empty(group.max() + 1)
     dx, dy = _move_directions(dim)
-    allowed = _move_mask(dx != 0, support_x, starts) & _move_mask(dy != 0, support_y, starts)
-    fbest = sign * np.asarray(batch_values(x, y), dtype=float)
-    fwindow = fbest.copy()
     moves = dx.shape[0]
-    usable = allowed  # allowed[active]; recut only when active shrinks
+    allowed = _move_mask(dx != 0, support_x, starts) & _move_mask(dy != 0, support_y, starts)
+    if param is not None:
+        param = np.asarray(param, dtype=float)
+    extra = lambda rows, reps: () if param is None else (np.repeat(param[rows], reps)[:, None],)
+    fbest = sign * np.asarray(batch_values(x, y, *extra(slice(None), 1)), dtype=float)
+    fwindow = fbest.copy()
+    usable, row_param = allowed, extra(slice(None), moves)  # cut to active; recut when it shrinks
     for done in range(_MAX_SWEEPS):
         if done and done % _STALL_SWEEPS == 0:
             gain = fwindow - fbest
-            gap = fbest - fbest.min()
+            lead.fill(np.inf)
+            np.minimum.at(lead, group, fbest)
+            gap = fbest - lead[group]
             step[(gain > 0) & (gap > 0) & (gain < gap + tol)] = 0.0
             fwindow = fbest.copy()
         active = np.flatnonzero(step >= _STEP_MIN)
         if active.size == 0:
             break
         if active.size != usable.shape[0]:  # steps never grow, so active only shrinks
-            usable = allowed[active]
+            usable, row_param = allowed[active], extra(active, moves)
         h = step[active, None, None]
         xu, yu, valid = project((x[active, None, :] + h * dx).reshape(-1, dim),
-                                (y[active, None, :] + h * dy).reshape(-1, dim))
+                                (y[active, None, :] + h * dy).reshape(-1, dim), *row_param)
         # disallowed and invalid moves read +inf, so the row-wise argmin is
         # the first best move of each start's own move list
         vals = np.where(valid.reshape(active.size, moves) & usable,
-                        sign * np.asarray(batch_values(xu, yu)).reshape(active.size, moves),
+                        sign * np.asarray(batch_values(xu, yu, *row_param)).reshape(active.size, moves),
                         np.inf)
         pick = np.argmin(vals, axis=1)
         picked = vals[np.arange(active.size), pick]
@@ -341,40 +376,108 @@ def refine_vector_on_sphere(
     return val, x
 
 
+class Seeds(NamedTuple):
+    """One problem of ``refine_seeds``: S starts ``x0``/``y0`` with their
+    objective values, steps and supports (shared or per start, as for
+    ``refine_pair_on_sphere``), the width of its enclosure before
+    refinement, its a priori ``limit`` in the direction of refinement (None
+    for none), and the parameter its objective and projection read (None
+    when they take none)."""
+
+    x0: np.ndarray
+    y0: np.ndarray
+    values: np.ndarray
+    step0: float | Sequence[float]
+    support_x: Support = None
+    support_y: Support = None
+    width: float = 0.0
+    limit: float | None = None
+    param: float | None = None
+
+
 def refine_seeds(
     space: LatticeSpace,
     objective: Objective,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    values: np.ndarray,
+    problems: list[Seeds],
     project: Projection,
-    step0: float | Sequence[float],
     *,
     maximize: bool = False,
-    support_x: Support = None,
-    support_y: Support = None,
-    width: float,
-    limit: float | None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The engine's two rules, for every caller that refines seeds: the
-    value and witness pair of the best of the S starts ``x0``/``y0``
-    (whose objective values are ``values``) after refinement.
+) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """The engine's two rules, for every caller that refines seeds: for each
+    problem, the value and witness pair of its best start after refinement.
 
-    The bound rule: when the best start, the earliest on ties, already
-    sits at ``limit``, the a priori bound in the direction of refinement,
-    no start can improve on it, and it is returned with no sweep.  The gain
-    rule: otherwise all starts are refined in lockstep by
-    ``refine_pair_on_sphere`` at the tolerance ``_GAIN_TOL * width``, where
-    ``width`` is the width of the enclosure before refinement.
+    The bound rule: when a problem's best start, the earliest on ties,
+    already sits at its ``limit``, no start can improve on it, and it is
+    returned with no sweep.  The gain rule: the starts of all other
+    problems are refined in one lockstep call of ``refine_pair_on_sphere``,
+    one group per problem, at the tolerance ``_GAIN_TOL * width`` of their
+    problem.  Each problem gets what a call with it alone returns, since
+    the groups share no gap (see ``refine_pair_on_sphere``).
     """
     sign = -1.0 if maximize else 1.0
-    b = int(np.argmin(sign * np.asarray(values)))
-    if limit is not None and sign * values[b] <= sign * limit:
-        return float(values[b]), x0[b].copy(), y0[b].copy()
-    best, x, y, _ = refine_pair_on_sphere(
-        space, objective, x0, y0, project, step0, maximize=maximize,
-        support_x=support_x, support_y=support_y, tol=_GAIN_TOL * width)
-    return best, x, y
+    out, run = [], []
+    for k, p in enumerate(problems):
+        b = int(np.argmin(sign * np.asarray(p.values)))
+        out.append((float(p.values[b]), p.x0[b].copy(), p.y0[b].copy()))
+        if not (p.limit is not None and sign * p.values[b] <= sign * p.limit):
+            run.append(k)
+    if not run:
+        return out
+    part = [problems[k] for k in run]
+    sizes = [len(p.x0) for p in part]
+    per_start = lambda name: [v for p, n in zip(part, sizes) for v in _per_start(getattr(p, name), n)]
+    *_, (vals, x, y) = refine_pair_on_sphere(
+        space, objective, np.concatenate([p.x0 for p in part]),
+        np.concatenate([p.y0 for p in part]), project, per_start("step0"),
+        maximize=maximize, support_x=per_start("support_x"), support_y=per_start("support_y"),
+        tol=np.repeat([_GAIN_TOL * p.width for p in part], sizes),
+        group=np.repeat(np.arange(len(part)), sizes),
+        param=None if part[0].param is None else np.repeat([p.param for p in part], sizes))
+    for k, lo, n in zip(run, np.cumsum([0] + sizes), sizes):
+        b = lo + int(np.argmin(sign * vals[lo : lo + n]))
+        out[k] = (float(vals[b]), x[b], y[b])
+    return out
+
+
+def certified_extrema(
+    space: LatticeSpace,
+    objective: Objective,
+    problems: list[tuple],
+    maximize: bool = False,
+    positive: bool = True,
+    top_k: int = 1,
+    refine: int = 1,
+    limit: float | None = None,
+) -> list[tuple[float, float, tuple[np.ndarray, np.ndarray]]]:
+    """``certified_extremum`` of several problems ``(blocks, symmetric,
+    scans, param)`` that share the objective, its sense and its limit: each
+    is scanned on its own, ``objective(X, Y, param)`` unless its param is
+    None, and their seeds are refined in one call of ``refine_seeds``."""
+    sign = -1.0 if maximize else 1.0
+    bounds, seeds = [], []
+    for blocks, symmetric, scans, param in problems:
+        f = objective if param is None else (lambda X, Y, p=param: objective(X, Y, p))
+        bound = np.inf  # signed, so both senses minimize
+        found: list[tuple[float, int, int, int]] = []
+        for b, (xs, ys, slack, _, _, _) in enumerate(blocks):
+            val, top = scans[b] if scans else scan_pairs(
+                space, xs, ys, f, maximize=maximize, top_k=top_k, symmetric=symmetric)
+            bound = min(bound, sign * val - slack)
+            found.extend((sign * v, b, i, j) for v, i, j in top)
+        found.sort(key=lambda s: s[0])
+        starts = []
+        for v, b, i, j in found[:refine]:
+            xs, ys, _, step0, support_x, support_y = blocks[b]
+            starts.append((sign * v, xs[i], ys[j], step0, support_x, support_y))
+        values, x0, y0, step0, support_x, support_y = zip(*starts)
+        # the best net value, the first seed's, against the certified bound
+        bounds.append(bound)
+        seeds.append(Seeds(np.array(x0), np.array(y0), np.array(values), list(step0),
+                           list(support_x), list(support_y), found[0][0] - bound, limit, param))
+    refined = refine_seeds(space, objective, seeds, sphere_projection(space, positive),
+                           maximize=maximize)
+    return [(sign * bound, sign * min(sign * best, sign * s.values[0]), (wx, wy))
+            for bound, s, (best, wx, wy) in zip(bounds, seeds, refined)]
 
 
 def certified_extremum(
@@ -412,25 +515,6 @@ def certified_extremum(
     supremum.  When the best net value already attains it, the net pair of
     the first sorted seed is returned unrefined.
     """
-    sign = -1.0 if maximize else 1.0
-    bound = np.inf  # signed, so both senses minimize
-    best_net = np.inf
-    seeds: list[tuple[float, int, int, int]] = []
-    for b, (xs, ys, slack, _, _, _) in enumerate(blocks):
-        val, top = scans[b] if scans else scan_pairs(
-            space, xs, ys, objective, maximize=maximize, top_k=top_k, symmetric=symmetric)
-        bound = min(bound, sign * val - slack)
-        best_net = min(best_net, sign * val)
-        seeds.extend((sign * v, b, i, j) for v, i, j in top)
-    seeds.sort(key=lambda s: s[0])
-    starts = []
-    for v, b, i, j in seeds[:refine]:
-        xs, ys, _, step0, support_x, support_y = blocks[b]
-        starts.append((sign * v, xs[i], ys[j], step0, support_x, support_y))
-    values, x0, y0, step0, support_x, support_y = zip(*starts)
-    best, wx, wy = refine_seeds(
-        space, objective, np.array(x0), np.array(y0), np.array(values),
-        sphere_projection(space, positive), step0, maximize=maximize,
-        support_x=list(support_x), support_y=list(support_y),
-        width=best_net - bound, limit=limit)
-    return sign * bound, sign * min(sign * best, best_net), (wx, wy)
+    [result] = certified_extrema(space, objective, [(blocks, symmetric, scans, None)],
+                                 maximize, positive, top_k, refine, limit)
+    return result

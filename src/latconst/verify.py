@@ -30,7 +30,7 @@ from .moduli import (
     DEFAULT_MODULI_BUDGET,
     CheckReport,
     CheckResult,
-    _memo_modulus,
+    _memo_moduli,
     identity_battery,
     sigma,
 )
@@ -90,8 +90,8 @@ class SuiteContext:
         return self.battery(name).constants[kind]
 
     def modulus(self, name: str, which: str, eps: float) -> float:
-        return _memo_modulus(self.moduli, which, self.space(name), None, self.moduli_budget,
-                             eps).estimate
+        return _memo_moduli(self.moduli, which, self.space(name), None, self.moduli_budget,
+                            [eps])[0].estimate
 
 
 def _close(a: float, b: float, tol: float) -> bool:

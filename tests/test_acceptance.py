@@ -87,8 +87,8 @@ def test_suite_reads_moduli_from_the_battery(monkeypatch):
     def recomputed(*args, **kwargs):
         raise AssertionError("a modulus was computed twice")
 
-    # moduli._memo_modulus, which both memos go through, calls these names
-    monkeypatch.setattr(moduli, "sigma", recomputed)
-    monkeypatch.setattr(moduli, "delta_m", recomputed)
+    # every modulus is computed by these list paths, which both memos call
+    monkeypatch.setattr(moduli, "_sigmas", recomputed)
+    monkeypatch.setattr(moduli, "_deltas", recomputed)
     verify.check_modulus_closed_forms(ctx)
     verify.check_ratio_formula_falsified(ctx)

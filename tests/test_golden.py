@@ -181,9 +181,9 @@ def test_golden_delta_long_tail(eps, monkeypatch):
     def counting(space, f, x0, t0, project, step0, **kw):
         sweeps.append(0)
 
-        def counted(xc, tc):  # one projection call per sweep
+        def counted(xc, tc, eps):  # one projection call per sweep
             sweeps[-1] += 1
-            return project(xc, tc)
+            return project(xc, tc, eps)
 
         return refine(space, f, x0, t0, counted, step0, **kw)
 

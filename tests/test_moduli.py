@@ -242,51 +242,66 @@ def _bits(est):
     return est.to_dict(), est.info, [w.tobytes() for w in est.witnesses]
 
 
-def _record_delta(monkeypatch):
-    """(eps, result) of every delta_m call, in call order."""
-    out = []
-    real = moduli.delta_m
+def _independent(space):
+    """The bits of independent ``sigma``/``delta_m`` calls (outside any stage
+    scope), by (which, eps), each computed once."""
+    alone = {}
 
-    def spy(space, eps, *args, **kwargs):
-        est = real(space, eps, *args, **kwargs)
-        out.append((eps, _bits(est)))
-        return est
+    def get(which, e):
+        if (which, e) not in alone:
+            fn = sigma if which == "sigma" else delta_m
+            alone[which, e] = _bits(fn(space, e, None, _SHARE_BUDGET))
+        return alone[which, e]
 
-    monkeypatch.setattr(moduli, "delta_m", spy)
-    return out
+    return get
+
+
+def _bisection(estimate):
+    """``characteristic``'s bisection replayed on the estimates ``estimate(e)``."""
+    hi = 1.0 - moduli._CHAR_EPS_RESOLUTION
+    if estimate(hi) <= moduli._CHAR_THRESHOLD:
+        return 1.0
+    lo = 0.0
+    while hi - lo > moduli._CHAR_EPS_RESOLUTION:
+        mid = 0.5 * (lo + hi)
+        if estimate(mid) <= moduli._CHAR_THRESHOLD:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _grid_calls_equal_independent_calls(space, which):
+    """The curve, the characteristic and the battery memo of ``which`` give
+    the bits of independent calls: the curve and the memo refine whole eps
+    lists in one grouped lockstep, and the characteristic bisects inside
+    one stage scope."""
+    alone = _independent(space)
+    curve = (sigma_curve if which == "sigma" else delta_curve)(space, _SHARE_GRID, None, _SHARE_BUDGET)
+    assert curve.eps_grid == _SHARE_GRID
+    assert [_bits(v) for v in curve.values] == [alone(which, e) for e in _SHARE_GRID]
+    char = characteristic(space, which, None, _SHARE_BUDGET)
+    assert char.value == _bisection(lambda e: alone(which, e)[0]["estimate"])
+    memo = {}
+    identity_battery(space, _SHARE_GRID, None, _SHARE_BUDGET, memo=memo)
+    mine = {key[-1]: _bits(est) for key, est in memo.items() if key[0] == which}
+    assert mine == {e: alone(which, e) for e in mine}
+    return mine
 
 
 @pytest.mark.parametrize("name", list(_share_spaces()))
-def test_shared_scan_equals_independent_calls(name, monkeypatch):
-    space = _share_spaces()[name]
-    alone = {}
-
-    def check(calls):
-        for e, bits in calls:
-            if e not in alone:
-                alone[e] = _bits(delta_m(space, e, None, _SHARE_BUDGET))
-            assert bits == alone[e], e
-
-    with monkeypatch.context() as m:
-        calls = _record_delta(m)
-        curve = delta_curve(space, _SHARE_GRID, None, _SHARE_BUDGET)
-    assert [e for e, _ in calls] == _SHARE_GRID
-    assert [_bits(v) for v in curve.values] == [bits for _, bits in calls]
-    check(calls)
-    with monkeypatch.context() as m:
-        calls = _record_delta(m)
-        characteristic(space, "delta", None, _SHARE_BUDGET)
-    assert len(calls) > 5
-    check(calls)
-    memo = {}
-    with monkeypatch.context() as m:
-        calls = _record_delta(m)
-        identity_battery(space, _SHARE_GRID, None, _SHARE_BUDGET, memo=memo)
+def test_shared_scan_equals_independent_calls(name):
+    deltas = _grid_calls_equal_independent_calls(_share_spaces()[name], "delta")
     # the grid, the shifted arguments, 1/lambda_plus and the characteristic
-    assert len(calls) > 2 * len(_SHARE_GRID)
-    check(calls)
-    deltas = {e: _bits(est) for (which, *_, e), est in memo.items() if which == "delta"}
-    assert deltas == {e: alone[e] for e in deltas}
+    assert len(deltas) > 2 * len(_SHARE_GRID)
+
+
+@pytest.mark.parametrize("name", list(_share_spaces()))
+def test_sigma_grid_equals_independent_calls(name):
+    # the grid holds eps = 1, whose scan is the symmetric one
+    assert 1.0 in _SHARE_GRID
+    sigmas = _grid_calls_equal_independent_calls(_share_spaces()[name], "sigma")
+    assert set(_SHARE_GRID) <= set(sigmas)
 
 
 def _stage_spaces():
@@ -464,9 +479,9 @@ def test_delta_gain_rule_keeps_planar_panel_enclosures(monkeypatch):
         sweeps.append(0)
         tols.append(tol)
 
-        def counted(xc, tc):  # one projection call per sweep
+        def counted(xc, tc, eps):  # one projection call per sweep
             sweeps[-1] += 1
-            return project(xc, tc)
+            return project(xc, tc, eps)
 
         return refine(space, f, x0, t0, counted, *args, tol=tol, **kwargs)
 
@@ -479,11 +494,14 @@ def test_delta_gain_rule_keeps_planar_panel_enclosures(monkeypatch):
         return [(est.lower, est.upper) for est in ests], sum(sweeps), list(tols)
 
     ruled, ruled_sweeps, ruled_tols = run()
-    # 1e-2 of the width before refinement, which is positive on every norm
-    assert all(0.0 < tol < 1e-2 for tol in ruled_tols)
+    # 1e-2 of the width before refinement, which is positive on every norm;
+    # the tolerance is given per start
+    assert len(ruled_tols) == len(panel)
+    assert all(np.all((0.0 < tol) & (tol < 1e-2)) for tol in ruled_tols)
     monkeypatch.setattr(search, "_GAIN_TOL", 0.0)
     ruleless, ruleless_sweeps, ruleless_tols = run()
-    assert ruleless_tols == [0.0] * len(panel)
+    assert len(ruleless_tols) == len(panel)
+    assert all(np.all(tol == 0.0) for tol in ruleless_tols)
     assert ruled == ruleless
     assert ruled_sweeps <= 300 and ruleless_sweeps > 1200
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import latconst as lc
-import latconst.constants as lc_constants
 import latconst.search as search
 from latconst.nets import half_sphere_net, positive_face_net, support_pairs
 from latconst.search import refine_pair_on_sphere, scan_pairs, sphere_projection
@@ -416,22 +415,23 @@ def test_lone_and_idle_starts_are_never_stopped(monkeypatch):
     refine = search.refine_pair_on_sphere
 
     def spy(*args, **kw):
-        calls.append(args)
+        calls.append((args, kw))
         return refine(*args, **kw)
 
     monkeypatch.setattr(search, "refine_pair_on_sphere", spy)
     est = lc.delta_m(lc.lp_space(3, 1.5), 1.0, None, 4000)
-    [(space, f, x0, t0, project, step0)] = calls
+    [((space, f, x0, t0, project, step0), kw)] = calls
+    eps = kw["param"]  # the objective and the projection read each start's eps
 
     def single(s):
-        return refine(space, f, x0[s], t0[s], project, step0)[0]
+        return refine(space, f, x0[s], t0[s], project, step0[s], param=eps[s:s + 1])[0]
 
     final = [single(s) for s in range(len(x0))]
     monkeypatch.setattr(search, "_MAX_SWEEPS", search._STALL_SWEEPS)
     first_window = [single(s) for s in range(len(x0))]
     b = int(np.argmin(final))
     assert est.upper == final[b] == 0.9999999998641821
-    assert first_window[b] == f(x0, t0)[b] > min(first_window)
+    assert first_window[b] == f(x0, t0, eps[:, None])[b] > min(first_window)
 
 
 def test_lockstep_formmax_within_rounding():
@@ -456,14 +456,101 @@ def test_lockstep_tie_goes_to_earliest_start():
     assert np.array_equal(bx, e[0]) and np.array_equal(by, e[1])
 
 
+# grouped lockstep: several problems in one refine_pair_on_sphere call
+GROUP_SPACES = {
+    "lp": lambda: lc.lp_space(3, 3),
+    "scale_max": lambda: lc.LatticeSpace(3, lc.Scale(0.7, lc.MaxOf(
+        [lc.Scale(1.5, lc.lp(3, 2)), lc.beta_gap_space().norm]))),
+    "blocksum": lambda: lc.direct_sum_l1(lc.lp_space(3, 3), 1),
+    "formmax": lc.beta_gap_space,
+}
+
+
+def _groups(space):
+    """Three problems (x0, y0, steps, tol, eps) on the full sphere: five
+    random starts whose trailing ones the gain rule stops (tol = inf), two
+    copies of one start, never behind their own group's best, and three
+    random starts at tol 0."""
+    rng = np.random.default_rng(2)
+    x, y = _unit_rows(space, rng, 9, False), _unit_rows(space, rng, 9, False)
+    return [(x[:5], y[:5], [0.2] * 5, np.inf, 1.0),
+            (x[[5, 5]], y[[5, 5]], [0.1] * 2, np.inf, 0.5),
+            (x[6:], y[6:], [0.05, 0.1, 0.2], 0.0, 0.8)]
+
+
+def _scaled_schaffer(space):
+    return lambda X, Y, e: np.maximum(space.norm_values(X - e * Y), space.norm_values(X + e * Y))
+
+
+@pytest.mark.parametrize("name", list(GROUP_SPACES))
+def test_grouped_lockstep_equals_solo_calls(name, monkeypatch):
+    space = GROUP_SPACES[name]()
+    f, project = _scaled_schaffer(space), sphere_projection(space, positive=False)
+    groups = _groups(space)
+    sizes = [len(x0) for x0, *_ in groups]
+    best, bx, by, (vals, xs, ys) = refine_pair_on_sphere(
+        space, f, np.concatenate([g[0] for g in groups]), np.concatenate([g[1] for g in groups]),
+        project, [s for g in groups for s in g[2]],
+        tol=np.repeat([g[3] for g in groups], sizes), group=np.repeat([0, 1, 2], sizes),
+        param=np.repeat([g[4] for g in groups], sizes))
+    solos = [refine_pair_on_sphere(space, f, x0, y0, project, steps, tol=tol, param=[e] * len(x0))
+             for x0, y0, steps, tol, e in groups]
+    for lo, n, (val, x, y, (svals, sxs, sys)) in zip(np.cumsum([0] + sizes), sizes, solos):
+        rows = slice(lo, lo + n)
+        assert vals[rows].tobytes() == svals.tobytes()
+        assert xs[rows].tobytes() == sxs.tobytes() and ys[rows].tobytes() == sys.tobytes()
+        b = lo + int(np.argmin(vals[rows]))
+        assert vals[b] == val and np.array_equal(xs[b], x) and np.array_equal(ys[b], y)
+    # the call's own best is the best over all groups, the earliest on ties
+    k = int(np.argmin(vals))
+    assert best == vals[k] and np.array_equal(bx, xs[k]) and np.array_equal(by, ys[k])
+
+    # the first group's trailing starts stop early, the copies run on
+    monkeypatch.setattr(search, "_STALL_SWEEPS", search._MAX_SWEEPS + 1)
+    ruleless = [refine_pair_on_sphere(space, f, x0, y0, project, steps, param=[e] * len(x0))[3][0]
+                for x0, y0, steps, _, e in groups]
+    stopped = [int(np.count_nonzero(solo[3][0] != free)) for solo, free in zip(solos, ruleless)]
+    assert stopped[0] == 4 and stopped[1] == 0
+
+
+@pytest.mark.parametrize("name", list(GROUP_SPACES))
+def test_refine_seeds_skips_a_problem_at_its_bound(name, monkeypatch):
+    # each problem gets what refine_seeds gives it alone; the one whose best
+    # start sits at its limit is returned unrefined and sends no start
+    space = GROUP_SPACES[name]()
+    f, project = _scaled_schaffer(space), sphere_projection(space, positive=False)
+    problems = []
+    for x0, y0, steps, tol, e in _groups(space):
+        values = f(x0, y0, e)
+        problems.append(search.Seeds(x0, y0, values, steps, width=tol / search._GAIN_TOL,
+                                     limit=1.0, param=e))
+    x0, y0, steps, _, e = _groups(space)[2]
+    at_bound = search.Seeds(x0, y0, f(x0, y0, e), steps, width=1.0, limit=float(f(x0, y0, e)[1]),
+                            param=e)
+    problems.insert(1, at_bound)
+    calls = []
+    refine = search.refine_pair_on_sphere
+    monkeypatch.setattr(search, "refine_pair_on_sphere",
+                        lambda *args, **kwargs: calls.append(len(args[2])) or refine(*args, **kwargs))
+    grouped = search.refine_seeds(space, f, problems, project)
+    assert calls == [5 + 2 + 3]
+    alone = [search.refine_seeds(space, f, [p], project) for p in problems]
+    assert calls[1:] == [5, 2, 3]  # none for the problem at its bound
+    for (val, x, y), [(sval, sx, sy)] in zip(grouped, alone):
+        assert val == sval and x.tobytes() == sx.tobytes() and y.tobytes() == sy.tobytes()
+    b = int(np.argmin(at_bound.values))
+    assert grouped[1][0] == at_bound.values[b] <= at_bound.limit
+    assert np.array_equal(grouped[1][1], x0[b]) and np.array_equal(grouped[1][2], y0[b])
+
+
 def _counted(project, sweeps):
     """``project`` counting its calls, one per sweep, in a new entry of
     ``sweeps``."""
     sweeps.append(0)
 
-    def counted(xc, tc):
+    def counted(xc, tc, *param):
         sweeps[-1] += 1
-        return project(xc, tc)
+        return project(xc, tc, *param)
 
     return counted
 
@@ -522,14 +609,15 @@ def test_gain_rule_spares_lone_and_idle_starts(monkeypatch):
     refine = search.refine_pair_on_sphere
 
     def spy(*args, **kw):
-        calls.append(args)
+        calls.append((args, kw))
         return refine(*args, **kw)
 
     monkeypatch.setattr(search, "refine_pair_on_sphere", spy)
     est = lc.delta_m(lc.lp_space(3, 1.5), 1.0, None, 4000)
-    [(space, f, x0, t0, project, step0)] = calls
+    [((space, f, x0, t0, project, step0), kw)] = calls
+    eps = kw["param"]  # the objective and the projection read each start's eps
     for tol in (1e-3, np.inf):
-        assert refine(space, f, x0, t0, project, step0, tol=tol)[0] == est.upper, tol
+        assert refine(space, f, x0, t0, project, step0, tol=tol, param=eps)[0] == est.upper, tol
 
 
 def test_gain_rule_keeps_planar_panel_enclosures(monkeypatch):
@@ -586,16 +674,16 @@ ENGINE_CONSTANTS = {
 
 def _engine_run(monkeypatch, space, name, bound_rule=True):
     """The constant at budget 2e5, and its number of refinement calls;
-    ``bound_rule=False`` runs the engine without its ``limit``."""
+    ``bound_rule=False`` runs the engine without its problems' ``limit``."""
     calls = []
     refine = search.refine_pair_on_sphere
-    engine = lc_constants.certified_extremum
+    seeds = search.refine_seeds
     with monkeypatch.context() as m:
         m.setattr(search, "refine_pair_on_sphere",
                   lambda *args, **kwargs: calls.append(args) or refine(*args, **kwargs))
         if not bound_rule:
-            m.setattr(lc_constants, "certified_extremum",
-                      lambda *args, limit=None, **kwargs: engine(*args, **kwargs))
+            m.setattr(search, "refine_seeds", lambda space, f, problems, *args, **kwargs: seeds(
+                space, f, [p._replace(limit=None) for p in problems], *args, **kwargs))
         est = ENGINE_CONSTANTS[name](lc.builtin_space(space), None, 200_000)
     return est, len(calls)
 

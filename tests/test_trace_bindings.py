@@ -2,7 +2,9 @@
 name and raises ``TraceError`` when one is missing, so renaming or deleting a
 traced function must fail here rather than in a traced benchmark run."""
 
+import contextlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import latconst
@@ -10,7 +12,8 @@ import latconst.constants
 import latconst.core
 import latconst.moduli
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -18,6 +21,27 @@ def _load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def _workloads():
+    """perfbench/workloads.py, loaded read-only as tests/test_workloads.py
+    loads it: it imports its sibling by the name "reference", and its
+    dataclasses look their module up in sys.modules while it executes."""
+    names = {"reference": "reference", "workloads": "perfbench_workloads"}
+    saved = {key: sys.modules.get(key) for key in names.values()}
+    try:
+        for name, key in names.items():
+            spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+            sys.modules[key] = module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        yield module
+    finally:
+        for key, module in saved.items():
+            if module is None:
+                sys.modules.pop(key, None)
+            else:
+                sys.modules[key] = module
 
 
 def test_tracer_binds_every_target_and_restores_them():
@@ -53,3 +77,22 @@ def test_traced_calls_produce_the_benchmark_spans():
     spans = tracer.arrays()
     scans = spans["name"][:lp_spans] == tracer.names.index("search.scan")
     assert int(spans["size"][:lp_spans][scans].sum()) == lp.info["pairs_scanned"]
+
+
+def test_traced_moduli_calls_produce_the_moduli_workload_spans():
+    # the curves and the battery refine whole eps lists; the per-eps spans
+    # moduli.sigma and moduli.delta must still come from their calls
+    # (characteristic's bisection), or a traced moduli run fails
+    tracing = _load_tracing()
+    space = latconst.lp_space(3, 2)
+    grid = [0.0, 0.5, 1.0]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        latconst.moduli.sigma_curve(space, grid, None, 20_000)
+        latconst.moduli.delta_curve(space, grid, None, 20_000)
+        latconst.moduli.identity_battery(space, grid, None, 20_000)
+    finally:
+        tracer.uninstall()
+    with _workloads() as workloads:
+        tracer.require(workloads.Moduli.expected_spans)
