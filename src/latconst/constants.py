@@ -1,7 +1,7 @@
 """Certified computation of the five sphere constants of a lattice norm.
 
 Each constant is an inf or sup of a Lipschitz objective over unit-sphere
-pairs, computed by the one engine ``search.certified_extremum``: the net
+pairs, computed by the one engine ``search.certified_extrema``: the net
 scan yields the certified side, ``net value -/+ (sum of per-argument
 Lipschitz factors) * mesh``, and refinement from the best net pairs
 improves the attained side only.  This module supplies the objectives, the
@@ -69,7 +69,6 @@ from .nets import (
     support_pairs,
 )
 from . import search
-from .search import certified_extremum
 
 __all__ = [
     "ConstantEstimate",
@@ -155,31 +154,6 @@ def _enclosure(kind, maximize, certified, attained, witnesses, mesh, info):
     return ConstantEstimate(kind, lower, upper, upper, witnesses, mesh, info)
 
 
-def net_pair_extremum(
-    space: LatticeSpace,
-    kind: str,
-    objective,
-    lipschitz: float,
-    resolution: float | None,
-    pair_budget: int,
-    maximize: bool = False,
-    full_sphere: bool = False,
-    symmetric: bool = False,
-) -> ConstantEstimate:
-    """The engine on x's net against y's: the positive face net, or for
-    ``full_sphere`` (lambda and james) the half-sphere net and the scan the
-    two share; x ranges over its fundamental domain (module docstring).
-    The slack is ``lipschitz * mesh``, with ``lipschitz`` the sum of the
-    per-argument Lipschitz factors; the result is the finished enclosure of
-    ``kind``.  ``symmetric`` states that the objective is unchanged, bit for
-    bit, when x and y swap, so a scan of one net paired with itself covers
-    every ordered pair from the pairs j >= i.
-    """
-    [est] = net_pair_extrema(space, kind, objective, [(lipschitz, symmetric, None)], resolution,
-                             pair_budget, maximize, full_sphere)
-    return est
-
-
 def net_pair_extrema(
     space: LatticeSpace,
     kind: str,
@@ -190,11 +164,14 @@ def net_pair_extrema(
     maximize: bool = False,
     full_sphere: bool = False,
 ) -> list[ConstantEstimate]:
-    """``net_pair_extremum`` of several problems ``(lipschitz, symmetric,
-    param)`` on one net: each is scanned on its own, with the objective
-    ``objective(X, Y, param)`` unless its param is None, and all are refined
-    in one lockstep (``search.certified_extrema``).  The moduli pass eps as
-    the param."""
+    """The engine (``search.certified_extrema``) on x's net against y's: one
+    finished enclosure of ``kind`` per problem ``(lipschitz, symmetric,
+    param)``, all refined in one lockstep.  The nets are the positive face
+    net, or for ``full_sphere`` (lambda and james) the half-sphere net and
+    the scan the two share; x ranges over its fundamental domain (module
+    docstring).  A problem's slack is ``lipschitz * mesh``, its per-argument
+    Lipschitz factors summed; ``symmetric`` states that its objective is
+    unchanged, bit for bit, when x and y swap; the moduli pass eps as param."""
     orbits = 2 ** (space.dim - 1) if full_sphere else 1
     h = resolve_resolution(kind, space.dim, resolution, pair_budget,
                            lambda n: (orbits * face_point_count(space.dim, n)) ** 2)
@@ -225,8 +202,8 @@ def lambda_plus(
     in each argument, so lower = net min - 2 * mesh."""
     if space.dim == 1:
         return _exact("lambda_plus", 2.0, space)
-    return net_pair_extremum(space, "lambda_plus", _plus(space), 2.0, resolution, pair_budget,
-                             symmetric=True)
+    return net_pair_extrema(space, "lambda_plus", _plus(space), [(2.0, True, None)],
+                            resolution, pair_budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +257,9 @@ def _disjoint_support_extremum(
          2 * max(steps[len(a)], steps[len(b)]), a, b)
         for a, b in pairs
     ]
-    certified, attained, witnesses = certified_extremum(
-        space, _plus(space), blocks, maximize, top_k=2, refine=_TOP_K_PAIRS,
-        limit=_a_priori_range(kind)[maximize])
+    [(certified, attained, witnesses)] = search.certified_extrema(
+        space, _plus(space), [(blocks, False, None, None)], maximize, positive=True, top_k=2,
+        refine=_TOP_K_PAIRS, limit=_a_priori_range(kind)[maximize])
     mesh_rep = max((nets[a].mesh_norm + nets[b].mesh_norm) / 2.0 for a, b in pairs)
     info = {"support_pairs": len(pairs), "pairs_scanned": scanned}
     return _enclosure(kind, maximize, certified, attained, witnesses, mesh_rep, info)
@@ -321,8 +298,8 @@ def alpha(
     resolve_resolution("alpha", space.dim, resolution, pair_budget,
                        cross if resolution is None else both)
     est = _disjoint_support_extremum(space, "alpha", True, resolution, pair_budget)
-    cross = net_pair_extremum(space, "alpha", lambda X, Y: space.norm_values(X - Y), 2.0,
-                              resolution, pair_budget, maximize=True, symmetric=True)
+    [cross] = net_pair_extrema(space, "alpha", lambda X, Y: space.norm_values(X - Y),
+                               [(2.0, True, None)], resolution, pair_budget, maximize=True)
     est.info["cross_check_estimate"] = cross.estimate
     est.info["cross_check_upper"] = cross.upper
     return est
@@ -351,9 +328,9 @@ def _full_sphere_scan(space: LatticeSpace, h: float):
 
 def _full_sphere_extremum(space, kind, maximize, resolution, pair_budget):
     combine = np.minimum if maximize else np.maximum
-    return net_pair_extremum(
+    return net_pair_extrema(
         space, kind, lambda X, Y: combine(space.norm_values(X - Y), space.norm_values(X + Y)),
-        2.0, resolution, pair_budget, maximize, full_sphere=True, symmetric=True)
+        [(2.0, True, None)], resolution, pair_budget, maximize, full_sphere=True)[0]
 
 
 def lambda_schaffer(

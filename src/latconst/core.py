@@ -464,9 +464,18 @@ def _parse_numbers(raw, what: str) -> list[float]:
     return [_parse_number(v, f"each entry of {what}") for v in raw]
 
 
+# the largest dimension a spec may give (its own and each block's), checked
+# before anything of that size is built: far above the 20 that any net within
+# ``nets.DEFAULT_POINT_CAP`` reaches, and small enough that the identity on
+# which ``LatticeSpace`` reads the basis norms stays at 8 MB
+MAX_SPEC_DIM = 1000
+
+
 def _parse_dim(raw, what: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
         raise InvalidNormError(f"{what} must be a positive integer, got {raw!r}")
+    if raw > MAX_SPEC_DIM:
+        raise UnsupportedDimensionError(f"{what} is capped at {MAX_SPEC_DIM}, got {raw}")
     return raw
 
 

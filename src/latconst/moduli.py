@@ -451,13 +451,10 @@ def identity_battery(
         "delta_nondecreasing", all(d >= -_TOL_SHAPE for d in diffs_d),
         details={"min_step": min(diffs_d) if diffs_d else 0.0}))
 
-    # two-sided ratio bounds, interior grid points only
-    worst_lo = worst_hi = -math.inf
-    for e in inner:
-        lo = _ratio(shifted[e])
-        hi = _ratio(dlt[e])
-        worst_lo = max(worst_lo, lo - sig[e])
-        worst_hi = max(worst_hi, sig[e] - hi)
+    # two-sided ratio bounds, interior grid points only (none on a grid
+    # without interior points, which reports 0.0 as the shape checks do)
+    worst_lo = max((_ratio(shifted[e]) - sig[e] for e in inner), default=0.0)
+    worst_hi = max((sig[e] - _ratio(dlt[e]) for e in inner), default=0.0)
     checks.append(CheckResult(
         "two_sided_ratio_bounds",
         worst_lo <= _TOL_IDENTITY and worst_hi <= _TOL_IDENTITY,

@@ -1,8 +1,8 @@
 """The certified-extremum engine: net pair scans, projected local
 refinement, ``refine_seeds`` (the one place that decides when and how far
-to refine), ``certified_extrema`` (the one pipeline joining them, of which
-``certified_extremum`` is the one-problem call) and the stage memo that
-lets calls share stages (``_stage_scope``).
+to refine), ``certified_extrema`` (the one pipeline joining them, for a
+list of problems) and the stage memo that lets calls share stages
+(``_stage_scope``).
 
 Every constant and modulus of the package is an inf or sup of a Lipschitz
 objective ``f(X, Y)`` over point pairs.  Certified bounds come from the net
@@ -67,7 +67,6 @@ __all__ = [
     "refine_vector_on_sphere",
     "refine_seeds",
     "certified_extrema",
-    "certified_extremum",
 ]
 
 Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -378,20 +377,20 @@ def refine_vector_on_sphere(
 
 class Seeds(NamedTuple):
     """One problem of ``refine_seeds``: S starts ``x0``/``y0`` with their
-    objective values, steps and supports (shared or per start, as for
-    ``refine_pair_on_sphere``), the width of its enclosure before
+    objective values and steps, the width of its enclosure before
     refinement, its a priori ``limit`` in the direction of refinement (None
-    for none), and the parameter its objective and projection read (None
-    when they take none)."""
+    for none), the starts' supports (shared or per start, as for
+    ``refine_pair_on_sphere``) and the parameter its objective and
+    projection read (None when they take none)."""
 
     x0: np.ndarray
     y0: np.ndarray
     values: np.ndarray
     step0: float | Sequence[float]
+    width: float
+    limit: float | None
     support_x: Support = None
     support_y: Support = None
-    width: float = 0.0
-    limit: float | None = None
     param: float | None = None
 
 
@@ -443,16 +442,33 @@ def certified_extrema(
     space: LatticeSpace,
     objective: Objective,
     problems: list[tuple],
-    maximize: bool = False,
-    positive: bool = True,
-    top_k: int = 1,
-    refine: int = 1,
-    limit: float | None = None,
+    maximize: bool,
+    positive: bool,
+    top_k: int,
+    refine: int,
+    limit: float | None,
 ) -> list[tuple[float, float, tuple[np.ndarray, np.ndarray]]]:
-    """``certified_extremum`` of several problems ``(blocks, symmetric,
-    scans, param)`` that share the objective, its sense and its limit: each
-    is scanned on its own, ``objective(X, Y, param)`` unless its param is
-    None, and their seeds are refined in one call of ``refine_seeds``."""
+    """Certified inf (sup when ``maximize``) of ``objective`` over unit-sphere
+    pairs, for several problems ``(blocks, symmetric, scans, param)`` that
+    share the objective, its sense and its ``limit``.  Each block
+    ``(xs, ys, slack, step0, support_x, support_y)`` pairs two nets whose
+    covered regions are within ``slack`` (sum of per-argument Lipschitz
+    factor times mesh) of the block's extremum.  The ``top_k`` best pairs of
+    every block become seeds, and each problem's ``refine`` best seeds are
+    refined from ``step0`` over their block's supports, all problems in one
+    call of ``refine_seeds``.  ``symmetric``: the objective is symmetric in
+    its arguments and every block pairs one net with itself, so
+    ``scan_pairs`` evaluates the pairs j >= i only.  ``scans`` gives the
+    blocks' ``scan_pairs`` results when known (None to scan), and a param
+    other than None is passed on as ``objective(X, Y, param)``.
+
+    The width before refinement is the best net value against the certified
+    bound.  ``limit`` (None for none) is the a priori bound in the direction
+    of refinement: a problem whose best net value attains it returns its
+    first seed's net pair unrefined.  Returns, per problem, the certified
+    bound (min (max) over blocks of net value -/+ slack), the best attained
+    value (net or refined) and its witness pair.
+    """
     sign = -1.0 if maximize else 1.0
     bounds, seeds = [], []
     for blocks, symmetric, scans, param in problems:
@@ -473,48 +489,8 @@ def certified_extrema(
         # the best net value, the first seed's, against the certified bound
         bounds.append(bound)
         seeds.append(Seeds(np.array(x0), np.array(y0), np.array(values), list(step0),
-                           list(support_x), list(support_y), found[0][0] - bound, limit, param))
+                           found[0][0] - bound, limit, list(support_x), list(support_y), param))
     refined = refine_seeds(space, objective, seeds, sphere_projection(space, positive),
                            maximize=maximize)
     return [(sign * bound, sign * min(sign * best, sign * s.values[0]), (wx, wy))
             for bound, s, (best, wx, wy) in zip(bounds, seeds, refined)]
-
-
-def certified_extremum(
-    space: LatticeSpace,
-    objective: Objective,
-    blocks: list[tuple],
-    maximize: bool = False,
-    positive: bool = True,
-    top_k: int = 1,
-    refine: int = 1,
-    symmetric: bool = False,
-    scans: list[tuple] | None = None,
-    limit: float | None = None,
-) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
-    """Certified inf (sup when ``maximize``) of ``objective`` over unit-sphere
-    pairs, from net scans of the blocks and refinement of the best seeds.
-
-    Each block ``(xs, ys, slack, step0, support_x, support_y)`` pairs two
-    nets whose covered regions are within ``slack`` of the block's extremum
-    (sum of per-argument Lipschitz factor times mesh).  The ``top_k`` best
-    pairs of every block become seeds; the ``refine`` best seeds overall are
-    refined from step ``step0`` over the block's supports by
-    ``refine_seeds``.  Returns the certified bound ``min (max) over blocks
-    of net value -/+ slack``, the best attained value (net or refined), and
-    its witness pair.
-
-    ``symmetric`` passes to every block's ``scan_pairs``: the objective is
-    symmetric in its arguments and each block pairs one net with itself, so
-    the scan evaluates only the pairs j >= i and mirrors the seeds.
-    ``scans`` gives each block's ``scan_pairs`` result when it is already known.
-
-    The width before refinement is the best net value against the certified
-    bound.  ``limit`` is the a priori bound of the objective in the direction
-    of refinement: no pair goes below it for an infimum, or above it for a
-    supremum.  When the best net value already attains it, the net pair of
-    the first sorted seed is returned unrefined.
-    """
-    [result] = certified_extrema(space, objective, [(blocks, symmetric, scans, None)],
-                                 maximize, positive, top_k, refine, limit)
-    return result

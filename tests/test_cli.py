@@ -5,9 +5,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import latconst.cli as cli
+import latconst.core as core
 from latconst.cli import main
 from latconst.core import InvalidNormError
 
@@ -228,6 +230,46 @@ def test_verify_spec_reports_ratio_formula_false(tmp_path, capsys):
     assert 0.5 in by_name["pointwise_ratio_formula"]["details"]["false_points"]
     assert by_name["constant_chain"]["passed"]
     assert "[PASS]" in err
+
+
+@pytest.mark.parametrize("grid", ["0:1:1", "1:1:1"])
+def test_verify_document_is_strict_json_without_interior_points(tmp_path, capsys, grid):
+    # no interior grid point leaves the two-sided ratio bounds nothing to
+    # check; they report 0.0, as the shape checks do on a one-point grid
+    def reject(constant):  # RFC 8259 JSON has no Infinity, -Infinity or NaN
+        raise ValueError(f"non-standard JSON constant {constant}")
+    spec = write_spec(tmp_path, L2_2_SPEC)
+    code, out, _ = run_cli(["verify", "--spec", spec, "--eps-grid", grid], capsys)
+    assert code == 0
+    doc = json.loads(out, parse_constant=reject)
+    by_name = {c["name"]: c for c in doc["results"]["checks"]}
+    assert by_name["two_sided_ratio_bounds"]["details"] == {
+        "max_lower_excess": 0.0, "max_upper_excess": 0.0}
+
+
+def test_huge_spec_dimensions_are_rejected_before_allocation(tmp_path, capsys, monkeypatch):
+    # the spec's dim and every block dim are bounded before any array of
+    # that size is built; nothing here may reach np.ones or np.eye
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spec dimension reached an allocation")
+    l2 = {"type": "lp", "p": 2}
+    specs = [
+        {"dim": 10**9, "norm": l2},
+        {"dim": 2, "norm": {"type": "blocksum", "p": 1,
+                            "blocks": [{"dim": 10**9, "norm": l2}, {"dim": 1, "norm": l2}]}},
+    ]
+    for i, raw in enumerate(specs):
+        spec = write_spec(tmp_path, raw, f"huge{i}.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "ones", refuse)
+            patch.setattr(np, "eye", refuse)
+            code, out, err = run_cli(["constants", "--spec", spec], capsys)
+        assert code == 2 and out == "", raw
+        assert err.startswith("error:") and "capped" in err, raw
+    # the bound keeps every dimension that a net within the point cap reaches
+    assert core._parse_dim(core.MAX_SPEC_DIM, "'dim'") == core.MAX_SPEC_DIM >= 20
+    with pytest.raises(core.UnsupportedDimensionError):
+        core._parse_dim(core.MAX_SPEC_DIM + 1, "'dim'")
 
 
 def test_embed_exact_copy(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Lattice operations, norm evaluation, validation and the JSON schema."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import latconst
 from latconst import (
     BlockSum,
     DimensionMismatchError,
@@ -264,3 +267,10 @@ def test_rescale_coordinates_matches_direct():
             v = rng.standard_normal(space.dim)
             assert scaled.norm_value(v) == pytest.approx(
                 space.norm_value(v / d), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(latconst.__path__)))
+def test_every_exported_name_exists(name):
+    # a name left in __all__ after its definition is gone breaks star imports
+    module = importlib.import_module(f"latconst.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -22,7 +22,7 @@ from latconst import (
     search,
     verify,
 )
-from latconst.constants import _plus, net_pair_extremum
+from latconst.constants import _plus, net_pair_extrema
 
 
 def _record(est):
@@ -34,8 +34,9 @@ def _record(est):
     lambda s: james(s, scan=[]),
     lambda s: delta_m(s, 0.5, scan=[]),
     lambda s: characteristic(s, "delta", scan=[]),
-    lambda s: net_pair_extremum(s, "lambda_plus", _plus(s), 2.0, None, 4000, stage=None),
-], ids=["lambda_schaffer", "james", "delta_m", "characteristic", "net_pair_extremum"])
+    lambda s: net_pair_extrema(s, "lambda_plus", _plus(s), [(2.0, True, None)], None, 4000,
+                               stage=None),
+], ids=["lambda_schaffer", "james", "delta_m", "characteristic", "net_pair_extrema"])
 def test_stage_arguments_are_gone(call):
     # stages are shared by scope only; no call takes a precomputed one
     with pytest.raises(TypeError):
