@@ -199,7 +199,11 @@ def lambda_plus(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> ConstantEstimate:
     """inf ||x + y|| over positive unit pairs; the objective is 1-Lipschitz
-    in each argument, so lower = net min - 2 * mesh."""
+    in each argument, so lower = net min - 2 * mesh.
+
+    This is the lattice Schaffer constant inf max{||x + y||, ||x - y||} over
+    the same pairs: for x, y >= 0, |x - y| <= x + y coordinatewise, so a
+    lattice norm, being monotone, gives ||x - y|| <= ||x + y||."""
     if space.dim == 1:
         return _exact("lambda_plus", 2.0, space)
     return net_pair_extrema(space, "lambda_plus", _plus(space), [(2.0, True, None)],

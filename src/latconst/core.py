@@ -248,7 +248,7 @@ class WeightedP(NormExpr):
 
 def lp(dim: int, p) -> WeightedP:
     """Unweighted l_p norm on R^dim."""
-    return WeightedP(p, np.ones(int(dim)))
+    return WeightedP(p, np.ones(_parse_dim(int(dim), "dimension")))
 
 
 class MaxOf(NormExpr):
@@ -464,8 +464,9 @@ def _parse_numbers(raw, what: str) -> list[float]:
     return [_parse_number(v, f"each entry of {what}") for v in raw]
 
 
-# the largest dimension a spec may give (its own and each block's), checked
-# before anything of that size is built: far above the 20 that any net within
+# the largest dimension of a space, a spec's own and each block's, checked by
+# ``LatticeSpace``, ``lp``, ``norm_from_dict`` and the spec reader before
+# anything of that size is built: far above the 20 that any net within
 # ``nets.DEFAULT_POINT_CAP`` reaches, and small enough that the identity on
 # which ``LatticeSpace`` reads the basis norms stays at 8 MB
 MAX_SPEC_DIM = 1000
@@ -489,6 +490,7 @@ def _parse_p(raw) -> float:
 
 def norm_from_dict(d: dict, dim: int) -> NormExpr:
     """Parse a norm expression dict against an expected dimension."""
+    _parse_dim(dim, "dimension")
     if not isinstance(d, dict) or "type" not in d:
         raise InvalidNormError(f"norm spec must be an object with a 'type' field, got {d!r}")
     kind = d["type"]
@@ -557,6 +559,7 @@ class LatticeSpace:
         dim = int(dim)
         if dim < 1:
             raise UnsupportedDimensionError("dimension must be >= 1")
+        _parse_dim(dim, "dimension")
         if norm.dim != dim:
             raise DimensionMismatchError(f"norm acts on R^{norm.dim}, space has dim {dim}")
         self.dim = dim

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from . import search
 from .constants import ConstantBattery, ConstantEstimate, beta, constant_battery, lambda_plus
 from .constructions import (
     diagonal_isomorphism,
@@ -30,6 +29,7 @@ from .moduli import (
     DEFAULT_MODULI_BUDGET,
     CheckReport,
     CheckResult,
+    _TOL_IDENTITY,
     _memo_moduli,
     identity_battery,
     sigma,
@@ -39,8 +39,6 @@ from .spaces import (
     builtin_space,
     linf_space,
     lp_space,
-    max_l2_linf_space,
-    max_linf_l1_space,
     random_polyhedral2_space,
 )
 
@@ -48,8 +46,24 @@ __all__ = ["SuiteContext", "run_builtin_suite", "verify_space"]
 
 _VALUE_TOL = 5e-3
 _COLLAPSE_TOL = 1e-2
-_IDENTITY_TOL = 1e-2
 _PRODUCT_TOL = 2e-2
+
+_MIX_PARAMS = (1.0, 1.2, 1.4)  # the a of the catalog's max{l_2, a l_inf}
+_DISJOINT = ("lambda_plus", "beta", "alpha")
+# the paper's closed forms on the catalog, as (space, constants, value) rows
+# per criterion: 2^(1/p) on l_p, sqrt(2) and sqrt(2)/a on the two max mixes,
+# 2 on l_1 (result iii, abstract L-spaces) and 1 on l_inf (result ii)
+_CLOSED_FORMS = {
+    "lp_constant_values": [
+        (f"l{tag}_{n}", _DISJOINT, 2.0 ** (1.0 / p))
+        for p, tag in ((1, "1"), (1.5, "15"), (2, "2"), (3, "3")) for n in (2, 3)],
+    "named_constant_values": [
+        ("max_linf_l1", ("lambda", "lambda_plus"), math.sqrt(2.0)),
+        *((f"max_l2_linf_{a}", ("lambda_plus", "beta"), math.sqrt(2.0) / a) for a in _MIX_PARAMS),
+        *((f"l1_{n}", _DISJOINT, 2.0) for n in (2, 3)),
+        *((f"linf_{n}", ("lambda_plus", "beta"), 1.0) for n in (2, 3)),
+    ],
+}
 
 _CHAIN_SPACES = [
     "l1_2", "l1_3", "l15_2", "l15_3", "l2_2", "l2_3", "l3_2", "l3_3",
@@ -89,9 +103,10 @@ class SuiteContext:
     def constant(self, name: str, kind: str) -> ConstantEstimate:
         return self.battery(name).constants[kind]
 
-    def modulus(self, name: str, which: str, eps: float) -> float:
-        return _memo_moduli(self.moduli, which, self.space(name), None, self.moduli_budget,
-                            [eps])[0].estimate
+    def moduli_at(self, name: str, which: str, eps_list) -> list[float]:
+        """Estimates of ``which`` at each eps; the memo's misses take one grouped call."""
+        return [est.estimate for est in _memo_moduli(self.moduli, which, self.space(name), None,
+                                                     self.moduli_budget, eps_list)]
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -103,18 +118,20 @@ def _close(a: float, b: float, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_lp_constant_values(ctx: SuiteContext) -> CheckResult:
-    """All three disjointness constants equal 2^(1/p) on l_p^n."""
+def _closed_form_values(ctx: SuiteContext, criterion: str) -> CheckResult:
+    """The estimates of each row of ``_CLOSED_FORMS[criterion]`` against its value."""
     rows = {}
     ok = True
-    for p, tag in ((1, "1"), (1.5, "15"), (2, "2"), (3, "3")):
-        want = 2.0 ** (1.0 / p)
-        for n in (2, 3):
-            name = f"l{tag}_{n}"
-            got = {k: ctx.constant(name, k).estimate for k in ("lambda_plus", "beta", "alpha")}
-            rows[name] = got | {"expected": want}
-            ok = ok and all(_close(v, want, _VALUE_TOL) for v in got.values())
-    return CheckResult("lp_constant_values", ok, details=rows)
+    for name, kinds, want in _CLOSED_FORMS[criterion]:
+        got = {k: ctx.constant(name, k).estimate for k in kinds}
+        rows[name] = got | {"expected": want}
+        ok = ok and all(_close(v, want, _VALUE_TOL) for v in got.values())
+    return CheckResult(criterion, ok, details=rows)
+
+
+def check_lp_constant_values(ctx: SuiteContext) -> CheckResult:
+    """All three disjointness constants equal 2^(1/p) on l_p^n."""
+    return _closed_form_values(ctx, "lp_constant_values")
 
 
 def check_disjoint_gap_counterexample(ctx: SuiteContext) -> CheckResult:
@@ -133,30 +150,19 @@ def check_disjoint_gap_counterexample(ctx: SuiteContext) -> CheckResult:
                  "gap": b - lam})
 
 
-def _collapse_case(ctx: SuiteContext, space: LatticeSpace, label: str) -> dict:
-    lam = lambda_plus(space, pair_budget=ctx.pair_budget).estimate
-    bet = beta(space, pair_budget=ctx.pair_budget).estimate
-    e1 = np.zeros(2)
-    e1[0] = 1.0 / space.basis_norms[0]
-    e2 = np.zeros(2)
-    e2[1] = 1.0 / space.basis_norms[1]
-    joined = space.norm_value(e1 + e2)  # join of the normalized basis pair
-    return {"label": label, "lambda_plus": lam, "beta": bet, "basis_join": joined,
-            "dev_collapse": abs(lam - bet), "dev_join": abs(bet - joined)}
-
-
 def check_two_dim_collapse(ctx: SuiteContext) -> CheckResult:
     """In dimension 2 the positive and disjoint infima coincide and equal the
     norm of the join of the normalized basis vectors."""
-    cases = [_collapse_case(ctx, max_linf_l1_space(), "max_linf_l1")]
-    for a in (1.0, 1.2, 1.4):
-        cases.append(_collapse_case(ctx, max_l2_linf_space(a), f"max_l2_linf_{a}"))
     rng = np.random.default_rng(ctx.seed)
-    for k in range(20):
-        n_rows = 2 + k % 3
-        cases.append(_collapse_case(ctx, random_polyhedral2_space(rng, n_rows), f"random_{k}"))
-    worst_c = max(c["dev_collapse"] for c in cases)
-    worst_j = max(c["dev_join"] for c in cases)
+    randoms = [random_polyhedral2_space(rng, 2 + k % 3) for k in range(20)]
+    cases = [(ctx.space(name), ctx.constant(name, "lambda_plus"), ctx.constant(name, "beta"))
+             for name in ("max_linf_l1", *(f"max_l2_linf_{a}" for a in _MIX_PARAMS))]
+    cases += [(space, lambda_plus(space, pair_budget=ctx.pair_budget),
+               beta(space, pair_budget=ctx.pair_budget)) for space in randoms]
+    worst_c = max(abs(lam.estimate - bet.estimate) for _, lam, bet in cases)
+    # 1 / basis_norms is the join of the normalized basis vectors
+    worst_j = max(abs(bet.estimate - space.norm_value(1.0 / space.basis_norms))
+                  for space, _, bet in cases)
     ok = worst_c <= _COLLAPSE_TOL and worst_j <= _COLLAPSE_TOL
     return CheckResult(
         "two_dim_collapse", ok,
@@ -164,31 +170,9 @@ def check_two_dim_collapse(ctx: SuiteContext) -> CheckResult:
 
 
 def check_named_constant_values(ctx: SuiteContext) -> CheckResult:
-    details = {}
-    ok = True
-    root2 = math.sqrt(2.0)
-
-    lam = ctx.constant("max_linf_l1", "lambda").estimate
-    lamp = ctx.constant("max_linf_l1", "lambda_plus").estimate
-    details["max_linf_l1"] = {"lambda": lam, "lambda_plus": lamp, "expected": root2}
-    ok = ok and _close(lam, root2, _VALUE_TOL) and _close(lamp, root2, _VALUE_TOL)
-
-    for a in (1.0, 1.2, 1.4):
-        s = max_l2_linf_space(a)
-        want = root2 / a
-        lamp = lambda_plus(s, pair_budget=ctx.pair_budget).estimate
-        bet = beta(s, pair_budget=ctx.pair_budget).estimate
-        details[f"max_l2_linf_{a}"] = {"lambda_plus": lamp, "beta": bet, "expected": want}
-        ok = ok and _close(lamp, want, _VALUE_TOL) and _close(bet, want, _VALUE_TOL)
-
-    for n in (2, 3):
-        got = {k: ctx.constant(f"l1_{n}", k).estimate for k in ("lambda_plus", "beta", "alpha")}
-        details[f"l1_{n}"] = got | {"expected": 2.0}
-        ok = ok and all(_close(v, 2.0, _VALUE_TOL) for v in got.values())
-        got = {k: ctx.constant(f"linf_{n}", k).estimate for k in ("lambda_plus", "beta")}
-        details[f"linf_{n}"] = got | {"expected": 1.0}
-        ok = ok and all(_close(v, 1.0, _VALUE_TOL) for v in got.values())
-    return CheckResult("named_constant_values", ok, details=details)
+    """sqrt(2) on max{l_inf, l_1/sqrt(2)}, sqrt(2)/a on max{l_2, a l_inf}, 2
+    on l_1 and 1 on l_inf."""
+    return _closed_form_values(ctx, "named_constant_values")
 
 
 def check_chain_and_product(ctx: SuiteContext) -> CheckResult:
@@ -220,25 +204,24 @@ def check_modulus_closed_forms(ctx: SuiteContext) -> CheckResult:
     ok = True
     for p, tag in ((1, "1"), (2, "2"), (3, "3")):
         name = f"l{tag}_3"
-        dev_s = max(abs(ctx.modulus(name, "sigma", e) - ((1.0 + e**p) ** (1.0 / p) - 1.0))
-                    for e in grid)
-        dev_d = max(abs(ctx.modulus(name, "delta", e)
-                        - (1.0 - (1.0 - min(e, 1.0) ** p) ** (1.0 / p))) for e in grid)
+        dev_s = max(abs(s - ((1.0 + e**p) ** (1.0 / p) - 1.0))
+                    for e, s in zip(grid, ctx.moduli_at(name, "sigma", grid)))
+        dev_d = max(abs(d - (1.0 - (1.0 - min(e, 1.0) ** p) ** (1.0 / p)))
+                    for e, d in zip(grid, ctx.moduli_at(name, "delta", grid)))
         rows[name] = {"max_dev_sigma": dev_s, "max_dev_delta": dev_d}
-        ok = ok and dev_s <= _IDENTITY_TOL and dev_d <= _IDENTITY_TOL
+        ok = ok and dev_s <= _TOL_IDENTITY and dev_d <= _TOL_IDENTITY
     return CheckResult("modulus_closed_forms", ok, details=rows)
 
 
-@search._stage_scope()  # its three deltas share one net stage
 def l1_section_discrepancy(ctx: SuiteContext) -> CheckResult:
     """Informational: computed l1-section moduli equal eps (both of them),
     which matches the shifted ratio identity; the alternative stated value
     1 - eps does not match the definitions as computed here."""
     samples = {}
     dev_eps = dev_alt = 0.0
-    for e in (0.25, 0.5, 0.75):
-        d = ctx.modulus("l1_2", "delta", e)
-        s = ctx.modulus("l1_2", "sigma", e)
+    eps = [0.25, 0.5, 0.75]
+    deltas, sigmas = (ctx.moduli_at("l1_2", which, eps) for which in ("delta", "sigma"))
+    for e, d, s in zip(eps, deltas, sigmas):
         samples[e] = {"delta": d, "sigma": s}
         dev_eps = max(dev_eps, abs(d - e), abs(s - e))
         dev_alt = max(dev_alt, abs(d - (1.0 - e)))
@@ -255,12 +238,12 @@ def l1_section_discrepancy(ctx: SuiteContext) -> CheckResult:
 
 def check_ratio_formula_falsified(ctx: SuiteContext) -> CheckResult:
     """delta(eps) = sigma(eps)/(1 + sigma(eps)) is falsified on l1^2 at 1/2."""
-    d = ctx.modulus("l1_2", "delta", 0.5)
-    s = ctx.modulus("l1_2", "sigma", 0.5)
+    [d] = ctx.moduli_at("l1_2", "delta", [0.5])
+    [s] = ctx.moduli_at("l1_2", "sigma", [0.5])
     ratio = s / (1.0 + s)
     ok = (
-        _close(d, 0.5, _IDENTITY_TOL)
-        and _close(ratio, 1.0 / 3.0, _IDENTITY_TOL)
+        _close(d, 0.5, _TOL_IDENTITY)
+        and _close(ratio, 1.0 / 3.0, _TOL_IDENTITY)
         and abs(d - ratio) > 0.1
     )
     return CheckResult(
@@ -337,13 +320,13 @@ def check_refinement_and_invariance(ctx: SuiteContext) -> CheckResult:
 
     # halving the grid step must not widen any certified interval
     mono = []
-    for space, fn, kw in (
-        (ctx.space("l2_3"), lambda_plus, {}),
-        (ctx.space("beta_gap"), beta, {}),
-        (ctx.space("l2_3"), lambda s, resolution, **k: sigma(s, 0.5, resolution), {}),
+    for space, fn in (
+        (ctx.space("l2_3"), lambda_plus),
+        (ctx.space("beta_gap"), beta),
+        (ctx.space("l2_3"), lambda s, resolution: sigma(s, 0.5, resolution)),
     ):
-        coarse = fn(space, resolution=1.0 / 8.0, **kw)
-        fine = fn(space, resolution=1.0 / 16.0, **kw)
+        coarse = fn(space, resolution=1.0 / 8.0)
+        fine = fn(space, resolution=1.0 / 16.0)
         nested = (fine.lower >= coarse.lower - 1e-12) and (fine.upper <= coarse.upper + 1e-12)
         mono.append({"kind": coarse.kind,
                      "coarse": [coarse.lower, coarse.upper],

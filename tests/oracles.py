@@ -9,7 +9,7 @@ frozen expected values at the tolerances used in the tests.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -106,6 +106,26 @@ def simplex_positive_sphere(norm, dim: int, m: int) -> np.ndarray:
     pts = np.asarray(rows, dtype=float)
     pts = pts[np.sum(pts, axis=1) > 0]
     return pts / norm(pts)[:, None]
+
+
+def disjoint_pair_extremum(norm, dim: int, m: int, maximize=False) -> float:
+    """inf (or sup) of ||x + y|| over disjoint positive unit pairs: the
+    simplex sphere of every nonempty proper support against that of every
+    support disjoint from it."""
+
+    def sphere(support):
+        def embed(a):
+            out = np.zeros(a.shape[:-1] + (dim,))
+            out[..., list(support)] = a
+            return out
+
+        return embed(simplex_positive_sphere(lambda a: norm(embed(a)), len(support), m))
+
+    supports = [s for k in range(1, dim) for s in combinations(range(dim), k)]
+    spheres = {s: sphere(s) for s in supports}
+    values = [pair_extremum(norm, spheres[a], spheres[b], sum_combine, maximize)
+              for a in supports for b in supports if not set(a) & set(b)]
+    return max(values) if maximize else min(values)
 
 
 def pair_extremum(norm, pts_x, pts_y, combine, maximize=False) -> float:

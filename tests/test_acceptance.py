@@ -7,10 +7,11 @@ per-criterion lines.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
-from latconst import moduli, verify
+from latconst import constants, moduli, verify
 from latconst.cli import main
 
 CRITERIA = [
@@ -92,3 +93,31 @@ def test_suite_reads_moduli_from_the_battery(monkeypatch):
     monkeypatch.setattr(moduli, "_deltas", recomputed)
     verify.check_modulus_closed_forms(ctx)
     verify.check_ratio_formula_falsified(ctx)
+
+
+def test_suite_computes_each_catalog_value_once(monkeypatch):
+    """The value criteria read the catalog constants from the suite's
+    batteries: each constant of each space is computed once."""
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(space, *args, **kwargs):
+            calls[repr(space), fn.__name__] += 1
+            return fn(space, *args, **kwargs)
+        return wrapper
+
+    # the battery calls the constants through the constants module, the
+    # criteria through their own imports
+    for fn in (constants.lambda_plus, constants.beta, constants.alpha,
+               constants.lambda_schaffer, constants.james):
+        for module in (constants, verify):
+            if hasattr(module, fn.__name__):
+                monkeypatch.setattr(module, fn.__name__, counted(fn))
+    ctx = verify.SuiteContext(pair_budget=20_000)
+    for check in (verify.check_lp_constant_values, verify.check_two_dim_collapse,
+                  verify.check_named_constant_values, verify.check_chain_and_product):
+        check(ctx)
+    assert [key for key, n in calls.items() if n > 1] == []
+    # five constants of each of the 15 catalog spaces, and lambda_plus and
+    # beta of the 20 random planar norms of the collapse criterion
+    assert len(calls) == 15 * 5 + 20 * 2

@@ -1,8 +1,10 @@
 """Lattice operations, norm evaluation, validation and the JSON schema."""
 
+import ast
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from latconst import (
     LatticeSpace,
     MaxOf,
     Scale,
+    UnsupportedDimensionError,
     WeightedP,
     absval,
     beta_gap_space,
@@ -32,6 +35,7 @@ from latconst import (
     space_from_dict,
     validate_lattice_norm,
 )
+from latconst.core import MAX_SPEC_DIM, NormExpr
 
 from oracles import gap3_norm
 
@@ -274,3 +278,40 @@ def test_every_exported_name_exists(name):
     # a name left in __all__ after its definition is gone breaks star imports
     module = importlib.import_module(f"latconst.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_python_api_dimensions_are_bounded_before_allocation(monkeypatch):
+    # LatticeSpace, lp and norm_from_dict check the dimension before they
+    # build an identity or a weight vector of that size
+    class Huge(NormExpr):
+        dim = 10**9
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dimension reached an allocation")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "ones", refuse)
+        patch.setattr(np, "eye", refuse)
+        for build in (lambda: LatticeSpace(10**9, Huge()), lambda: lp(10**9, 2),
+                      lambda: norm_from_dict({"type": "lp", "p": 2}, 10**9)):
+            with pytest.raises(UnsupportedDimensionError, match="capped"):
+                build()
+    assert LatticeSpace(MAX_SPEC_DIM, lp(MAX_SPEC_DIM, 2)).dim == MAX_SPEC_DIM
+    with pytest.raises(UnsupportedDimensionError):
+        norm_from_dict({"type": "lp", "p": 2}, MAX_SPEC_DIM + 1)
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(latconst.__path__)))
+def test_every_imported_name_is_used(name):
+    # no linter runs on the package: a name a module imports must be read
+    # in it or re-exported through its __all__
+    tree = ast.parse((Path(latconst.__path__[0]) / f"{name}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(importlib.import_module(f"latconst.{name}"), "__all__", ()))
+    assert sorted(imported - read - exported) == []

@@ -137,9 +137,9 @@ def test_battery_threads_keep_their_own_stages():
 
 
 def test_suite_l1_section_criteria_build_one_delta_stage(monkeypatch):
-    # l1_section_discrepancy reads delta at three eps inside one scope, and
-    # check_ratio_formula_falsified reads delta(0.5) from the suite's memo;
-    # outside a scope the three deltas built three stages
+    # l1_section_discrepancy reads delta at its three eps in one grouped
+    # call, which builds one net stage, and check_ratio_formula_falsified
+    # reads delta(0.5) from the suite's memo
     calls = []
     real = moduli.box_grid
     monkeypatch.setattr(moduli, "box_grid", lambda *args: calls.append(args) or real(*args))

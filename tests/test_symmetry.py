@@ -185,12 +185,13 @@ def test_domain_scan_matches_the_full_scan(dim, blocks, seed):
 def test_certified_sides_hold_the_oracle_values(dim, blocks):
     space, norm = _random_case(dim, blocks, 7)
     budget = 20_000
+    m = 60 if dim == 2 else 16
     if dim == 2:
         sphere = oracles.angle_sphere(norm, 720)
     else:
         pos = oracles.simplex_positive_sphere(norm, 3, 16)
         sphere = np.vstack([pos * np.array(s) for s in itertools.product((1, -1), repeat=3)])
-    positive = oracles.simplex_positive_sphere(norm, dim, 60 if dim == 2 else 16)
+    positive = oracles.simplex_positive_sphere(norm, dim, m)
 
     def oracle(pts, combine, maximize=False):
         return oracles.pair_extremum(norm, pts, pts, combine, maximize)
@@ -199,11 +200,17 @@ def test_certified_sides_hold_the_oracle_values(dim, blocks):
     # supremum's certified upper side above it
     tol = 1e-12
     assert lc.lambda_plus(space, None, budget).lower <= oracle(positive, oracles.sum_combine) + tol
-    sig = oracles.sigma_oracle(norm, dim, 0.5, 60 if dim == 2 else 16)
+    sig = oracles.sigma_oracle(norm, dim, 0.5, m)
     assert lc.sigma(space, 0.5, None, budget).lower <= sig + tol
-    cross = lc.alpha(space, None, budget).info["cross_check_upper"]
+    alp = lc.alpha(space, None, budget)
+    cross = alp.info["cross_check_upper"]
     assert cross >= oracle(positive, lambda nm, x, y: nm(x - y), True) - tol
     assert lc.lambda_schaffer(space, None, budget).lower <= oracle(
         sphere, oracles.schaffer_combine) + tol
     assert lc.james(space, None, budget).upper >= oracle(
         sphere, oracles.james_combine, True) - tol
+    assert lc.beta(space, None, budget).lower <= oracles.disjoint_pair_extremum(norm, dim, m) + tol
+    assert alp.upper >= oracles.disjoint_pair_extremum(norm, dim, m, True) - tol
+    # the delta oracle admits y up to 1e-12 below the constraint
+    assert lc.delta_m(space, 0.5, None, budget).lower <= oracles.delta_oracle(
+        norm, dim, 0.5, m) + 1e-9
