@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import lambda_plus
+from .constants import ConstantEstimate, lambda_plus
 from .core import (
     BlockSum,
     EmbeddingError,
@@ -127,10 +127,14 @@ def find_embedding(
     resolution: float | None = None,
     defect_cap: float = 0.995,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
+    *,
+    estimate: ConstantEstimate | None = None,
 ) -> EmbeddingReport:
     """Search mode: reuse the positive-pair infimum witness as the source
-    pair.  Fails when no pair with defect below ``defect_cap`` exists."""
-    est = lambda_plus(space, resolution, pair_budget)
+    pair, from ``estimate`` (the space's ``lambda_plus``, when the caller
+    holds it) or a fresh ``lambda_plus``.  Fails when no pair with defect
+    below ``defect_cap`` exists."""
+    est = lambda_plus(space, resolution, pair_budget) if estimate is None else estimate
     if est.estimate - 1.0 >= defect_cap:
         raise EmbeddingError(
             f"smallest positive-pair defect found is {est.estimate - 1.0:.6g} "

@@ -18,7 +18,8 @@ of the true problem may round to a net point that just misses it:
 No eps enters that net stage (``_delta_scan``), a stage of the ``search``
 stage memo; each eps only selects from it, so sharing it changes no result.
 The net seeds are the ``_TOP_K`` smallest (value, i, j) over the pairs that
-meet the constraint, the engine's tie rule (``search._smallest``).  They and
+meet the constraint, the engine's tie rule (``search._keep_smallest``),
+selected block by block under the scans' byte rule.  They and
 the coordinate sections of the net points seed a lockstep (x, t) search,
 moved onto the constraint first and kept on it by ``_constraint_projection``.
 It runs through the engine's one entry, ``search.refine_seeds``, with both
@@ -242,17 +243,30 @@ def _delta_scan(space: LatticeSpace, h: float):
 
 def _delta_seeds(space: LatticeSpace, stage, h: float, eps: float, objective):
     """delta's selection at one nonzero eps from the net stage: the
-    certified lower bound and the refinement problem of its seeds."""
+    certified lower bound and the refinement problem of its seeds.
+
+    It streams over row blocks of the stage of at most
+    ``search._STRIP_BYTES`` (the scans' byte rule, for the same reason: a
+    stage-sized mask or copy per eps would be mapped and faulted in each
+    time).  Each block gives its minimum over the pairs that meet the
+    relaxed constraint, for the lower bound, and offers its values at the
+    pairs that meet the constraint, in one block-sized buffer, to the
+    engine's tie rule (``search._keep_smallest``)."""
     net, tgrid, ynorm, obj, sections = stage
     relax = net.mesh_norm + 0.5 * h
-    lower = float(np.min(obj[ynorm >= eps - relax], initial=np.inf)) - relax
     pts = net.points
     m = tgrid.shape[0]
-    # net seeds: the engine's tie rule, the _TOP_K smallest (value, i, j)
-    # over the pairs that meet the constraint
-    flat = np.where(ynorm >= eps - _FEAS_TOL, obj, np.inf).ravel()
-    top = sorted((float(flat[c]), int(c) // m, int(c) % m)
-                 for c in search._smallest(flat, min(_TOP_K, flat.size)))
+    rows = search._strip_rows(m, 1)
+    buf = np.empty(rows * m)
+    lower, top = np.inf, []
+    for i0 in range(0, pts.shape[0], rows):
+        yb, ob = ynorm[i0 : i0 + rows], obj[i0 : i0 + rows]
+        lower = min(lower, float(np.min(ob, where=yb >= eps - relax, initial=np.inf)))
+        vals = buf[: ob.size].reshape(ob.shape)
+        vals.fill(np.inf)
+        np.copyto(vals, ob, where=yb >= eps - _FEAS_TOL)
+        search._keep_smallest(top, vals, _TOP_K, i0, 0)
+    lower -= relax
     seeds = [(v, pts[i], tgrid[j]) for v, i, j in top if math.isfinite(v)]
     # component seeds: the extreme points of the order interval [0, x] are the
     # coordinate sections of x, so also try y = (section of x) rescaled onto

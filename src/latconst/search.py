@@ -11,7 +11,11 @@ improving the attained side.  Objectives broadcast, so the scan (on the
 strips of ``_strips``, the one cut of nets into pieces, which delta's net
 stage uses as well) and the refinement (on row-aligned candidates) call the
 same function; ``scan_pairs`` states the seeds' tie rule, which delta's net
-seeds follow through ``_smallest`` too.  An
+seeds follow through its one step, ``_keep_smallest``, too.  Every pass over
+net pairs, a scan or delta's per-eps selection, keeps to one byte rule
+(``_strips``): a strip's temporaries stay below glibc's mmap threshold, so
+the heap reuses their pages instead of mapping and faulting in fresh ones
+for every strip.  An
 objective that is symmetric bit for bit (``f(X, Y) == f(Y, X)``, as for
 ``||x + y||``, ``||x - y||`` and their max and min) on one net paired with
 itself is scanned over the upper triangle j >= i only, and its candidate
@@ -80,9 +84,10 @@ _STEP_MIN = 1e-11
 # share of the pre-refinement enclosure width that a trailing start's next
 # window must be able to carry it past the best start for it to go on
 _GAIN_TOL = 1e-2
-# pairs per objective call of a scan, so that a strip's temporaries stay in
-# cache; 2**13 and 2**17 scanned 3-D half-sphere nets more slowly
-_STRIP_PAIRS = 2**15
+# bytes of a strip's largest temporary, rows x cols x dim float64s (see
+# ``_strips``): below glibc's default 128 KiB mmap threshold; 64 KiB ran the
+# chain benchmark more slowly (more strips), 120 KiB alike
+_STRIP_BYTES = 96 * 2**10
 
 # the stage memo of the running thread's outermost scope, None outside one
 _stages: contextvars.ContextVar[dict | None] = contextvars.ContextVar("stages", default=None)
@@ -111,14 +116,26 @@ def _stage(key: tuple, build: Callable[[], object]):
     return memo[key] if key in memo else memo.setdefault(key, build())
 
 
+def _strip_rows(cols: int, width: int) -> int:
+    """Rows of a strip of ``cols`` columns whose largest temporary, rows x
+    cols x ``width`` float64s, fits ``_STRIP_BYTES``: at least 1, at most 256."""
+    return max(1, min(256, _STRIP_BYTES // (8 * width * max(cols, 1))))
+
+
 def _strips(xs: np.ndarray, ys: np.ndarray, symmetric: bool):
     """The one cut of net pairs: strips ``(i0, i1, j0, X, Y)`` with
     ``X = xs[i0:i1, None, :]`` against ``Y = ys[None, j0:, :]`` (``j0`` is 0,
-    or i0 when ``symmetric`` pairs ``xs`` with itself), of at most 256 rows
-    and about ``_STRIP_PAIRS`` pairs.  They are views of coordinate-major
-    copies of the nets, so elementwise work loops along the net points."""
+    or i0 when ``symmetric`` pairs ``xs`` with itself), of at most 256 rows.
+
+    The byte rule: a strip's largest temporary, an objective's
+    rows x cols x dim array such as ``X - Y``, holds at most
+    ``_STRIP_BYTES`` (one row may hold more).  Below glibc's mmap threshold
+    the heap serves and reuses those temporaries; above it, each strip's
+    temporaries are mapped, faulted in page by page and unmapped again.  The
+    strips are views of coordinate-major copies of the nets, so elementwise
+    work loops along the net points."""
     n, m = xs.shape[0], ys.shape[0]
-    rows = max(1, min(256, _STRIP_PAIRS // max(m, 1)))
+    rows = _strip_rows(m, xs.shape[1])
     xs = np.asfortranarray(xs)
     ys = xs if symmetric else np.asfortranarray(ys)
     for i0 in range(0, n, rows):
@@ -126,11 +143,24 @@ def _strips(xs: np.ndarray, ys: np.ndarray, symmetric: bool):
         yield i0, min(i0 + rows, n), j0, xs[i0 : i0 + rows, None, :], ys[None, j0:, :]
 
 
-def _smallest(flat: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries of ``flat`` by (value, index)."""
-    kth = np.partition(flat, k - 1)[k - 1]
+def _keep_smallest(kept: list, vals: np.ndarray, k: int, i0: int, j0: int,
+                   skipped: int = 0) -> None:
+    """The tie rule's one step: merge the k smallest (value, i, j) of a
+    strip, the matrix ``vals`` of rows i0... and columns j0..., into the
+    sorted list ``kept`` of the k smallest so far.  A strip whose least
+    value cannot displace the k kept is passed over, since its entries come
+    later and lose ties; ``skipped`` entries (set to inf) are never taken."""
+    flat = vals.ravel()
+    if len(kept) == k and flat.min() >= kept[-1][0]:
+        return
+    take = min(k, flat.size - skipped)
+    kth = np.partition(flat, take - 1)[take - 1]
     below = np.flatnonzero(flat < kth)
-    return np.concatenate([below, np.flatnonzero(flat == kth)[: k - below.size]])
+    w = vals.shape[1]
+    kept.extend((float(flat[c]), i0 + int(c) // w, j0 + int(c) % w)
+                for c in np.concatenate([below, np.flatnonzero(flat == kth)[: take - below.size]]))
+    kept.sort()
+    del kept[k:]
 
 
 def scan_pairs(
@@ -167,24 +197,15 @@ def scan_pairs(
     multi = isinstance(maximize, tuple)
     signs = [-1.0 if sense else 1.0 for sense in (maximize if multi else (maximize,))]
     found: list[list[tuple[float, int, int]]] = [[] for _ in signs]
-    buffers = []  # one per sense for every strip, as fresh ones cost page faults
     for i0, i1, j0, X, Y in _strips(xs, ys, symmetric):
         mats = values(X, Y) if multi else (values(X, Y),)
-        buffers = buffers or [np.empty(mat.size) for mat in mats]  # the largest strip
         rows = i1 - i0
         skipped = rows * (rows - 1) // 2 if symmetric else 0  # the entries j < i
-        for sign, mat, kept, buf in zip(signs, mats, found, buffers):
-            vals = np.multiply(mat, sign, out=buf[: mat.size].reshape(mat.shape))
+        for sign, mat, kept in zip(signs, mats, found):
+            vals = sign * mat
             if skipped:  # all left of column i1 - j0
                 vals[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
-            flat = vals.ravel()
-            if len(kept) == top_k and flat.min() >= kept[-1][0]:
-                continue  # no entry displaces the k kept: later rows lose ties
-            w = vals.shape[1]
-            kept.extend((float(flat[c]), i0 + int(c) // w, j0 + int(c) % w)
-                        for c in _smallest(flat, min(top_k, flat.size - skipped)))
-            kept.sort()
-            del kept[top_k:]
+            _keep_smallest(kept, vals, top_k, i0, j0, skipped)
     for kept in found:
         if symmetric:
             kept.extend([(v, j, i) for v, i, j in kept if i != j])

@@ -264,7 +264,8 @@ def check_embedding_bounds(ctx: SuiteContext) -> CheckResult:
     )
     details["linf_3"] = rep.to_dict() | {"x_prime": "...", "y_prime": "..."}
 
-    rep2 = find_embedding(ctx.space("max_linf_l1"), pair_budget=ctx.pair_budget)
+    rep2 = find_embedding(ctx.space("max_linf_l1"),
+                          estimate=ctx.constant("max_linf_l1", "lambda_plus"))
     ok = ok and (
         rep2.min_ratio >= (1.0 - rep2.epsilon) - 1e-6
         and rep2.max_ratio <= (1.0 + rep2.epsilon) + 1e-6

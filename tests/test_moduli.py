@@ -319,13 +319,29 @@ def _stage_spaces():
 
 
 @pytest.mark.parametrize("name", list(_stage_spaces()))
-def test_delta_net_stage_equals_the_row_major_formula(name):
+def test_delta_net_stage_equals_the_row_major_formula(name, monkeypatch):
     # the stage evaluates coordinate-major operands; every value must be the
     # one of the plain row-major products
     space = _stage_spaces()[name]
-    # the steps 1/n that the budgets 2e4 and 4e5 resolve to: one strip and several
-    for n in {2: (20, 50), 3: (5, 9), 4: (2, 4)}[space.dim]:
+    strips = []
+    real = search._strips
+
+    def spy(xs, ys, symmetric):
+        for strip in real(xs, ys, symmetric):
+            strips.append((strip[3].shape[0], strip[4].shape[1]))
+            yield strip
+
+    monkeypatch.setattr(search, "_strips", spy)
+    # a step with one strip, and the steps 1/n that the budgets 2e4 and 4e5
+    # resolve to, with several
+    for n in {2: (4, 20, 50), 3: (2, 5, 9), 4: (1, 2, 4)}[space.dim]:
+        strips.clear()
         net, tgrid, ynorm, obj, sections = moduli._delta_scan(space, 1 / n)
+        # no objective call holds more than a strip's bytes in an
+        # (rows, cols, dim) temporary, unless one row does
+        assert all(8 * rows * cols * space.dim <= max(search._STRIP_BYTES, 8 * cols * space.dim)
+                   for rows, cols in strips)
+        assert sum(rows for rows, _ in strips) == len(net.points)
         pts = net.points
         assert ynorm.shape == obj.shape == (len(pts), len(tgrid))
         assert np.array_equal(ynorm, space.norm_values(pts[:, None, :] * tgrid[None]))
@@ -353,6 +369,52 @@ def test_delta_net_seeds_follow_the_engine_tie_rule(name, monkeypatch):
     # the component seeds sort after the net seeds they tie with
     assert np.array_equal(x0[: len(want)], net.points[i[want]])
     assert np.array_equal(t0[: len(want)], tgrid[j[want]])
+
+
+def _selection_spaces():
+    return {"linf_2": builtin_space("linf_2"), "beta_gap": builtin_space("beta_gap"),
+            "l2_3": builtin_space("l2_3"), "blocksum_4": direct_sum_l1(beta_gap_space(), 1)}
+
+
+@pytest.mark.parametrize("one_row", [False, True])
+@pytest.mark.parametrize("name", list(_selection_spaces()))
+def test_streamed_delta_selection_equals_the_whole_stage_formula(name, one_row, monkeypatch):
+    # the selection streams over row blocks of the stage; its lower bound and
+    # net seeds are the whole stage's, at the default block size and at one
+    # row per block
+    space = _selection_spaces()[name]
+    h = delta_m(space, 0.5, None, 200_000).info["resolution"]
+    stage = moduli._delta_scan(space, h)
+    net, tgrid, ynorm, obj, sections = stage
+    if one_row:
+        monkeypatch.setattr(search, "_STRIP_BYTES", 8 * len(tgrid))
+    assert (search._strip_rows(len(tgrid), 1) == 1) == one_row
+    seeds = []
+    real = moduli._onto_constraint
+    monkeypatch.setattr(moduli, "_onto_constraint",
+                        lambda sp, e, x, t: seeds.append((x.copy(), t.copy())) or real(sp, e, x, t))
+    objective = lambda X, T, e: 1.0 - space.norm_values((1.0 - T) * X)
+    relax = net.mesh_norm + 0.5 * h
+    for eps in (0.05, 0.25, 0.5, 0.75, 0.95, 1.0):
+        seeds.clear()
+        # without the component seeds, the seeds refined are the net seeds
+        lower, problem = moduli._delta_seeds(space, stage[:4] + ([],), h, eps, objective)
+        assert lower == float(np.min(obj[ynorm >= eps - relax], initial=np.inf)) - relax
+        i, j = np.nonzero(ynorm >= eps - moduli._FEAS_TOL)
+        want = np.lexsort((j, i, obj[i, j]))[: moduli._TOP_K]
+        x0, t0 = seeds[0]
+        assert np.array_equal(x0, net.points[i[want]]), eps
+        assert np.array_equal(t0, tgrid[j[want]]), eps
+        assert np.array_equal(problem.values, objective(x0, problem.y0, eps))
+    # no pair meets the relaxed constraint (the box grid holds t = 1, so on
+    # a real stage every eps <= 1 is met; relax exceeds 2 on blocksum_4): the
+    # lower bound is inf, the width 0, and the component seeds are the only seeds
+    seeds.clear()
+    missed = np.full_like(ynorm, -np.inf)
+    lower, problem = moduli._delta_seeds(space, (net, tgrid, missed, obj, sections), h, 0.5,
+                                         objective)
+    assert lower == np.inf and problem.width == 0.0
+    assert len(seeds[0][0]) == min(2 * moduli._TOP_K, sum(np.any(n >= 0.5) for _, n in sections))
 
 
 def _count_scans(monkeypatch):

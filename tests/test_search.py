@@ -55,8 +55,9 @@ def _scan_spaces():
 
 
 SCAN_SPACES = _scan_spaces()
-# nets cut into strips of one row, of 100 rows, of 128 and 128 rows, and of
-# 109, 109 and 82 rows
+# nets cut, in 3-D, into one strip of one row, into strips of 40, 40 and 20
+# rows, into 16 strips of 16 rows, and into strips of 13 rows, the last one
+# of 1 row
 NET_SIZES = (1, 100, 256, 300)
 # (objective, maximize) per net; both nets are scanned in both senses
 SCANS = {
@@ -113,8 +114,8 @@ def test_one_scan_in_several_senses_equals_one_scan_per_sense(name):
         assert shared == alone, (n, symmetric)
 
 
-# a symmetric scan of 257 points has strips of 127, 127 and 3 rows; one of
-# 313 points has strips of 104 rows, the last one 1 row
+# in 3-D, a symmetric scan of 257 points has strips of 15 rows, the last
+# one of 2 rows; one of 313 points has strips of 13 rows, the last one of 1 row
 STRIP_NET_SIZES = (257, 313)
 # FormMax norms whose matrix product takes each of BLAS's matrix-vector and
 # matrix-matrix paths
@@ -154,7 +155,7 @@ def test_strips_change_no_value_and_skip_the_discarded_pairs(name):
         pts = net[:n]
         ys = pts if symmetric else net[n // 3 : n // 3 + n - 7]
         m = len(ys)
-        strip = max(1, min(256, search._STRIP_PAIRS // m))
+        strip = max(1, min(256, search._STRIP_BYTES // (8 * m * space.dim)))
         assert strip < n  # several strips
         for f, maximize in ((_plus(space), False), (both, (False, True))):
             # with room for every pair (at the smaller net), each value is
@@ -162,8 +163,10 @@ def test_strips_change_no_value_and_skip_the_discarded_pairs(name):
             top_k = n * m if n == STRIP_NET_SIZES[0] else 10
             calls.clear()
             found = scan_pairs(space, pts, ys, spy(f), maximize, top_k, symmetric)
-            # no call holds more than a strip's pairs, unless one row does
-            assert all(rows * cols <= max(search._STRIP_PAIRS, cols) for rows, cols in calls)
+            # no call holds more than a strip's bytes in an (rows, cols, dim)
+            # temporary, unless one row does
+            assert all(8 * rows * cols * space.dim <= max(search._STRIP_BYTES, 8 * cols * space.dim)
+                       for rows, cols in calls)
             pairs = sum(rows * cols for rows, cols in calls)
             if symmetric:
                 assert pairs <= n * (n + 1) // 2 + n * (strip - 1) // 2, (n, pairs)
@@ -190,7 +193,7 @@ def test_symmetric_scan_tie_rule_on_l1(monkeypatch):
     for q in (16, 32):
         pts = np.array([(a, b, q - a - b) for a in range(q + 1) for b in range(q + 1 - a)],
                        dtype=float) / q
-        n = len(pts)  # 153 points in one strip, 561 points in ten
+        n = len(pts)  # 153 points in strips of 26 rows, 561 points in strips of 7
         assert np.all(f(pts[:, None, :], pts[None, :, :]) == 2.0)
         for top_k in (1, 4):
             val, top = scan_pairs(space, pts, pts, f, top_k=top_k, symmetric=True)
@@ -201,12 +204,12 @@ def test_symmetric_scan_tie_rule_on_l1(monkeypatch):
         assert scan_pairs(space, pts, pts, f, top_k=n * n, symmetric=True)[1] == everything
         assert scan_pairs(space, pts, pts, f, top_k=n * n)[1] == everything
         # the k seeds are the k first pairs, whatever the strip size (one
-        # row per strip at 2**8 pairs)
-        for strip_pairs in (2**8, search._STRIP_PAIRS):
-            monkeypatch.setattr(search, "_STRIP_PAIRS", strip_pairs)
+        # row per strip at the bytes of 2**8 pairs)
+        for strip_bytes in (2**8 * 3 * 8, search._STRIP_BYTES):
+            monkeypatch.setattr(search, "_STRIP_BYTES", strip_bytes)
             for symmetric in (True, False):
                 top = scan_pairs(space, pts, pts, f, top_k=4, symmetric=symmetric)[1]
-                assert top == [(2.0, 0, 0), (2.0, 0, 1), (2.0, 0, 2), (2.0, 0, 3)], strip_pairs
+                assert top == [(2.0, 0, 0), (2.0, 0, 1), (2.0, 0, 2), (2.0, 0, 3)], strip_bytes
 
 
 def test_symmetric_scan_needs_one_net():
