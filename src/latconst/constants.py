@@ -171,7 +171,9 @@ def net_pair_extrema(
     the scan the two share; x ranges over its fundamental domain (module
     docstring).  A problem's slack is ``lipschitz * mesh``, its per-argument
     Lipschitz factors summed; ``symmetric`` states that its objective is
-    unchanged, bit for bit, when x and y swap; the moduli pass eps as param."""
+    unchanged, bit for bit, when x and y swap; the moduli pass eps as param.
+    The positive face net is a stage of the ``search`` memo, so within a
+    scope every call at one (space, step) reads one net."""
     orbits = 2 ** (space.dim - 1) if full_sphere else 1
     h = resolve_resolution(kind, space.dim, resolution, pair_budget,
                            lambda n: (orbits * face_point_count(space.dim, n)) ** 2)
@@ -180,7 +182,8 @@ def net_pair_extrema(
                                       lambda: _full_sphere_scan(space, h))
         found = [both[maximize]]
     else:
-        net, found = positive_face_net(space, h), None
+        net = search._stage(("face", space, h), lambda: positive_face_net(space, h))
+        found = None
         xs = _domain_points(space, net.points)
     top = _TOP_K_SIGNED if full_sphere else _TOP_K_PAIRS
     results = search.certified_extrema(

@@ -26,8 +26,8 @@ norms b_i = ||e_i||, which give the two-sided sandwich
     max_i |x_i| b_i  <=  ||x||  <=  sum_i |x_i| b_i
 
 valid for every lattice norm (monotonicity on the left, triangle inequality
-on the right).  The certified net optimizers derive their mesh certificates
-from these two weights alone.
+on the right).  The net mesh certificates (``nets``) use the left side,
+with the norms of the coordinate indicator vectors in place of the right.
 
 JSON exchange format for norms: ``{"dim": n, "norm": E}`` where E is one of
 ``{"type": "lp", "p": p|"inf", "weights": [...]}`` (weights optional, default

@@ -15,6 +15,11 @@ of the true problem may round to a net point that just misses it:
     lower = (net min over ||t*x|| >= eps - relax) - relax,
     relax = mesh_x + mesh_t.
 
+Here mesh_x is the face net's mesh (``nets``) and mesh_t = h/2, by
+monotonicity: rounding t to the grid moves each t_i by at most h/2, so it
+moves y = t*x by at most (h/2) x coordinatewise, and so by at most
+(h/2) ||x|| = h/2 in norm.
+
 No eps enters that net stage (``_delta_scan``), a stage of the ``search``
 stage memo; each eps only selects from it, so sharing it changes no result.
 The net seeds are the ``_TOP_K`` smallest (value, i, j) over the pairs that
@@ -29,14 +34,15 @@ after the move, because the net mask admits candidates up to ``_FEAS_TOL``
 below the constraint.
 
 Whole eps lists.  Each modulus has one list path, ``_sigmas`` and
-``_deltas``: the per-eps work (sigma's scan on one net built per list,
-delta's selection from the one net stage, built only when some eps is
-nonzero), then one grouped refinement of every eps's seeds, in which the
-objective and the projection read each row's eps.  A group ends as its eps
-refined alone would, so ``sigma``/``delta_m`` (one-element calls of the
-list path), ``sigma_curve``/``delta_curve`` (one call each) and the
-``identity_battery`` memo (three lists: the grid, the points e/(1+e) and the
-points e/(1+sigma(e))) give the same bits.  The bisection of
+``_deltas``: the per-eps work (sigma's scan on one face net, a stage of the
+memo that every sigma list and ``lambda_plus`` at the same step share
+within a scope, and delta's selection from the one net stage, built only
+when some eps is nonzero), then one grouped refinement of every eps's
+seeds, in which the objective and the projection read each row's eps.  A
+group ends as its eps refined alone would, so ``sigma``/``delta_m``
+(one-element calls of the list path), ``sigma_curve``/``delta_curve`` (one
+call each) and the ``identity_battery`` memo (three lists: the grid, the
+points e/(1+e) and the points e/(1+sigma(e))) give the same bits.  The bisection of
 ``characteristic`` stays sequential, since each probe depends on the last.
 
 sigma is 1-Lipschitz in x and eps-Lipschitz in y, so its certificate slack

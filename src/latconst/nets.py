@@ -1,17 +1,23 @@
-"""Certified nets on positive and full unit spheres of a lattice norm.
+r"""Certified nets on positive and full unit spheres of a lattice norm.
 
-Mesh certificate.  Write b_i = ||e_i|| and F = (sum_i b_i) / (min_i b_i).
-Every unit vector u >= 0 equals v / ||v|| for v = u / max_i u_i, a point of
-the cube [0, 1]^n with some coordinate equal to 1.  Round each coordinate of
-v to the nearest value of the grid G = {0, h, 2h, ...} u {1}; the rounded
-point g keeps the unit coordinate, moves by at most h/2 per coordinate, and
-therefore by at most (h/2) sum_i b_i in norm, while ||v|| >= min_i b_i.
-Renormalizing g to the sphere at most doubles the relative error:
+Mesh certificate.  Let S be the support of the net (all coordinates for
+S+), b_i = ||e_i|| and 1_A the indicator vector of a set A of coordinates.
+Every unit vector u >= 0 on S equals v / ||v|| for v = u / max_i u_i, a
+point of the cube [0, 1]^S with some coordinate v_k = 1.  Round each
+coordinate of v to the nearest value of the grid G = {0, h, 2h, ...} u {1};
+the rounded point g keeps g_k = 1 and moves every other coordinate by at
+most h/2, so |v - g| <= (h/2) 1_{S\k} coordinatewise and, by monotonicity
+of the lattice norm, ||v - g|| <= (h/2) ||1_{S\k}||.  Since v >= e_k,
+monotonicity also gives ||v|| >= b_k.  Renormalizing g to the sphere at most
+doubles the relative error:
 
-    || v/||v|| - g/||g|| ||  <=  2 ||v - g|| / ||v||  <=  h * F.
+    || v/||v|| - g/||g|| ||  <=  2 ||v - g|| / ||v||  <=  h ||1_{S\k}|| / b_k.
 
 Hence the normalized points of the cube's "top faces" {max_i g_i = 1} form a
-net of S+ with certified mesh h * F.  The same bound covers the full sphere
+net of S+ with certified mesh h * max_{k in S} ||1_{S\k}|| / b_k: h on every
+2-D space with equal basis norms, h * sqrt(2) on l2_3.  It is never larger
+than the triangle inequality's h * (sum_{i in S} b_i) / (min_{i in S} b_i),
+as ||1_{S\k}|| <= sum_{i != k} b_i.  The same bound covers the full sphere
 orthant by orthant because lattice norms ignore coordinate signs.
 
 Dimension 1 is exact: S+ is the single point e_1 / b_1 and the mesh is 0.
@@ -23,7 +29,7 @@ the domain D where the coordinates do not increase, in index order, within
 each block.  Rounding a coordinate to the nearest value of G (ties to the
 lower one) is non-decreasing in it, so it keeps v_i >= v_j and the unit
 coordinate: a point v of D rounds to a point g of D, and g / ||g|| is a net
-point of D.  So the net points in D cover S+ n D with the same mesh h * F.
+point of D.  So the net points in D cover S+ n D with the same mesh.
 Normalizing divides all coordinates of a point by one positive number,
 which keeps their order in floating point too, so the net points in D are
 exactly the normalized grid points in D (``_domain_points``).
@@ -129,8 +135,9 @@ def support_face_net(
     space: LatticeSpace, support: tuple[int, ...], resolution: float
 ) -> SphereNet:
     """Face net of the positive unit sphere of span{e_i : i in support},
-    embedded into R^dim.  Its mesh certificate uses the basis norms of the
-    support only; a single coordinate gives the exact one-point net."""
+    embedded into R^dim.  Its mesh certificate (module docstring) reads the
+    norms of the support's vectors e_k and 1_{S minus k} only; a single
+    coordinate gives the exact one-point net."""
     b = space.basis_norms[list(support)]
     if len(support) == 1:
         units = np.zeros((1, space.dim))
@@ -142,7 +149,10 @@ def support_face_net(
         pts = np.zeros((sub.shape[0], space.dim))
         pts[:, list(support)] = sub
         units = np.unique(pts / space.norm_values(pts)[:, None], axis=0)
-        mesh = float(resolution) * float(np.sum(b) / np.min(b))
+        # row r is 1_{S minus k} for the r-th coordinate k of the support
+        rest = np.zeros((len(support), space.dim))
+        rest[:, list(support)] = 1.0 - np.eye(len(support))
+        mesh = float(resolution) * float(np.max(space.norm_values(rest) / b))
     units.setflags(write=False)
     return SphereNet(units, mesh)
 

@@ -95,11 +95,12 @@ _stages: contextvars.ContextVar[dict | None] = contextvars.ContextVar("stages", 
 
 @contextlib.contextmanager
 def _stage_scope():
-    """The stage memo: stages that several calls read (lambda's and james's
-    half-sphere scan, delta's net stage), keyed (kind, space, resolved step).
-    The outermost scope of a thread owns it, nested scopes share it, and it
-    is dropped when the owner exits; ``constant_battery``,
-    ``characteristic`` and ``identity_battery`` are scopes."""
+    """The stage memo: stages that several calls read (the positive face
+    net, lambda's and james's half-sphere scan, delta's net stage), keyed
+    (kind, space, resolved step).  The outermost scope of a thread owns it,
+    nested scopes share it, and it is dropped when the owner exits;
+    ``constant_battery``, ``characteristic`` and ``identity_battery`` are
+    scopes."""
     token = None if _stages.get() is not None else _stages.set({})
     try:
         yield

@@ -36,6 +36,7 @@ from .moduli import (
 )
 from .nets import DEFAULT_PAIR_BUDGET
 from .spaces import (
+    BUILTIN_NAMES,
     builtin_space,
     linf_space,
     lp_space,
@@ -315,6 +316,15 @@ def check_stability(ctx: SuiteContext) -> CheckResult:
     return CheckResult("stability", ok, details=details)
 
 
+def _permuted_cases(ctx: SuiteContext):
+    """(name, base space, permutation) of the invariance criterion.  Each
+    permutation must move its base to a different tree, or the check is
+    vacuous; every 2-D catalog space is swap-symmetric, so the 2-D case is
+    a weighted space."""
+    return (("beta_gap", ctx.space("beta_gap"), (2, 0, 1)),
+            ("l15_2_weighted", lp_space(2, 1.5, weights=(1.0, 2.0)), (1, 0)))
+
+
 def check_refinement_and_invariance(ctx: SuiteContext) -> CheckResult:
     details = {}
     ok = True
@@ -337,14 +347,15 @@ def check_refinement_and_invariance(ctx: SuiteContext) -> CheckResult:
 
     # scale and permutation invariance of all five constants
     inv = {}
-    for name, perm in (("beta_gap", (2, 0, 1)), ("l2_2", (1, 0))):
-        base = ctx.space(name)
+    for name, base, perm in _permuted_cases(ctx):
+        ref = (ctx.battery(name) if name in BUILTIN_NAMES
+               else constant_battery(base, pair_budget=ctx.pair_budget)).constants
         scaled = LatticeSpace(base.dim, Scale(3.0, base.norm))
         permuted = LatticeSpace(base.dim, permute_norm(base.norm, perm))
         inv[name] = {}
         for label, other in (("max_dev_scale", scaled), ("max_dev_permutation", permuted)):
             consts = constant_battery(other, pair_budget=ctx.pair_budget).constants
-            inv[name][label] = max(abs(est.estimate - ctx.constant(name, kind).estimate)
+            inv[name][label] = max(abs(est.estimate - ref[kind].estimate)
                                    for kind, est in consts.items())
         ok = ok and max(inv[name].values()) <= 1e-9
     details["invariance"] = inv

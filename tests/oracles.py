@@ -138,6 +138,39 @@ def pair_extremum(norm, pts_x, pts_y, combine, maximize=False) -> float:
     return best
 
 
+def sphere_sample(norm, dim: int, support, n: int, rng, positive: bool = True) -> np.ndarray:
+    """``n`` random points of the unit sphere of span{e_i : i in support}
+    (its positive part when ``positive``), drawn without any grid: random
+    magnitudes on the support, with a random coordinate of a third of the
+    points zeroed so that the sphere's lower-dimensional faces are sampled
+    too, and random signs on the full sphere."""
+    support = list(support)
+    vals = rng.exponential(size=(n, len(support)))
+    zero = rng.integers(len(support), size=n)
+    cut = rng.random(n) < 1.0 / 3.0
+    vals[np.flatnonzero(cut), zero[cut]] = 0.0
+    vals[np.all(vals == 0.0, axis=1), 0] = 1.0
+    if not positive:
+        vals *= rng.choice((-1.0, 1.0), size=vals.shape)
+    pts = np.zeros((n, dim))
+    pts[:, support] = vals
+    return pts / norm(pts)[:, None]
+
+
+def covering_distances(norm, net_points, sample, signed: bool = False) -> np.ndarray:
+    """Distance in ``norm`` from each sample point to its nearest net point,
+    by brute force over the whole net; ``signed`` also tries the net's
+    negatives (a half-sphere net covers the full sphere up to sign)."""
+    out = np.empty(len(sample))
+    for i0 in range(0, len(sample), 64):
+        s = sample[i0 : i0 + 64, None, :]
+        d = np.min(norm(s - net_points[None, :, :]), axis=1)
+        if signed:
+            d = np.minimum(d, np.min(norm(s + net_points[None, :, :]), axis=1))
+        out[i0 : i0 + 64] = d
+    return out
+
+
 def sum_combine(norm, x, y):
     return norm(x + y)
 

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from latconst import constants, moduli, verify
+from latconst import LatticeSpace, constants, moduli, permute_norm, verify
 from latconst.cli import main
 
 CRITERIA = [
@@ -121,3 +121,11 @@ def test_suite_computes_each_catalog_value_once(monkeypatch):
     # five constants of each of the 15 catalog spaces, and lambda_plus and
     # beta of the 20 random planar norms of the collapse criterion
     assert len(calls) == 15 * 5 + 20 * 2
+
+
+def test_invariance_check_permutes_to_different_trees():
+    # a permutation that maps a norm to an equal tree cannot move any
+    # constant, and the check would pass by construction
+    for name, base, perm in verify._permuted_cases(verify.SuiteContext()):
+        permuted = LatticeSpace(base.dim, permute_norm(base.norm, perm))
+        assert permuted.to_dict() != base.to_dict(), name

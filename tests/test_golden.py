@@ -24,39 +24,43 @@ SPACES = {
 # estimate and the diagonal_isomorphism distortion with d = (1, 2).  The
 # james uppers of l15_2 and mix were re-recorded when the full-sphere slack
 # went from 4 to 2 meshes (max/min of ||x -/+ y|| is 1-Lipschitz in each
-# argument); their lambda_schaffer lowers stay clamped at 1 at this budget.
+# argument).  Every certified side (the lower of an infimum, the upper of a
+# supremum) was re-recorded, inward, when the net mesh certificate went from
+# the triangle inequality's h * (b_1 + b_2) / min(b_1, b_2) to monotonicity's
+# h * max_k ||1_{S minus k}|| / b_k, from 2h to h on these equal-basis-norm
+# spaces; no estimate moved.
 GOLDEN = {
     "l15_2": {
-        "lambda_plus": (1.4583687939036833, 1.5874010519681994, 1.5874010519681994),
+        "lambda_plus": (1.5228849229359414, 1.5874010519681994, 1.5874010519681994),
         "beta": (1.5874010519681994, 1.5874010519681994, 1.5874010519681994),
         "alpha": (1.5874010519681994, 1.5874010519681994, 1.5874010519681994),
         "alpha_cross": 1.5874010519681994,
-        "lambda_schaffer": (1.0, 1.2599210498948732, 1.2599210498948732),
-        "james": (1.5874010519681994, 1.854067718634866, 1.5874010519681994),
-        "sigma": (0.1268562138373507, 0.2236304073857378, 0.2236304073857378),
-        "delta_m": (0.0, 0.25236703666237337, 0.25236703666237337),
+        "lambda_schaffer": (1.1265877165615399, 1.2599210498948732, 1.2599210498948732),
+        "james": (1.5874010519681994, 1.7207343853015327, 1.5874010519681994),
+        "sigma": (0.17524331061154425, 0.2236304073857378, 0.2236304073857378),
+        "delta_m": (0.026870776571037425, 0.25236703666237337, 0.25236703666237337),
         "diagonal_isomorphism": 2.0000000000000004,
     },
     "mix": {
-        "lambda_plus": (1.0494790439130632, 1.1785113019775793, 1.1785113019775793),
+        "lambda_plus": (1.1139951729453212, 1.1785113019775793, 1.1785113019775793),
         "beta": (1.1785113019775793, 1.1785113019775793, 1.1785113019775793),
         "alpha": (1.1785113019775793, 1.1785113019775793, 1.1785113019775793),
         "alpha_cross": 1.1785113019775793,
-        "lambda_schaffer": (1.0, 1.1785113019775793, 1.1785113019775793),
-        "james": (1.697056274847714, 1.9637229415143804, 1.697056274847714),
+        "lambda_schaffer": (1.045177968644246, 1.1785113019775793, 1.1785113019775793),
+        "james": (1.697056274847714, 1.8303896081810471, 1.697056274847714),
         "sigma": (0.0, 0.0, 0.0),
         "delta_m": (0.0, 0.0, 0.0),
         "diagonal_isomorphism": 2.0,
     },
     "poly": {
-        "lambda_plus": (1.6891651534329877, 1.8181974114975037, 1.8181974114975037),
+        "lambda_plus": (1.7536812824652457, 1.8181974114975037, 1.8181974114975037),
         "beta": (1.818197411497504, 1.818197411497504, 1.818197411497504),
         "alpha": (1.818197411497504, 1.818197411497504, 1.818197411497504),
         "alpha_cross": 1.818197411497504,
         "lambda_schaffer": (1.0, 1.099990566124918, 1.099990566124918),
-        "james": (1.818197411497504, 2.0, 1.818197411497504),
-        "sigma": (0.2214232179491166, 0.3181974114975037, 0.3181974114975037),
-        "delta_m": (0.0, 0.38890053552616943, 0.38890053552616943),
+        "james": (1.818197411497504, 1.9515307448308372, 1.818197411497504),
+        "sigma": (0.26981031472331013, 0.3181974114975037, 0.3181974114975037),
+        "delta_m": (0.09441574376709705, 0.38890053552616943, 0.38890053552616943),
         "diagonal_isomorphism": 2.0,
     },
 }
@@ -84,11 +88,12 @@ def test_golden_enclosures_2d(name):
 
 
 def test_golden_disjoint_support_3d():
-    # multi-point sub-nets: one engine block per support pair
+    # multi-point sub-nets: one engine block per support pair; beta's lower
+    # re-recorded up from 1.3047342995169082 with the monotonicity mesh
     space = lc.beta_gap_space()
     est = lc.beta(space, None, 200000)
     assert _triple(est) == pytest.approx(
-        (1.3047342995169082, 1.36363636363638, 1.36363636363638), abs=1e-12)
+        (1.3247342995169082, 1.36363636363638, 1.36363636363638), abs=1e-12)
     assert est.info["pairs_scanned"] == 612
     est = lc.alpha(space, None, 200000)
     assert _triple(est) == pytest.approx((2.0, 2.0, 2.0), abs=1e-12)
@@ -96,28 +101,30 @@ def test_golden_disjoint_support_3d():
 
 
 # the exact-value and clamped paths: values recorded before they were routed
-# through one interval builder and one exact-value helper.  mix's delta_m_1
-# estimate was re-recorded, up by 2.8e-12 from 0.3366750419303214, when
-# delta's (x, t) search took the gain rule: it stops a start that gains less
-# than 1e-3 of the width a window, and here that start would later have won.
+# through one interval builder and one exact-value helper; the certified
+# sides (alpha_cross_upper and the lowers at eps = 1) re-recorded with the
+# monotonicity mesh, as above.  mix's delta_m_1 estimate was re-recorded, up
+# by 2.8e-12 from 0.3366750419303214, when delta's (x, t) search took the
+# gain rule: it stops a start that gains less than 1e-3 of the width a
+# window, and here that start would later have won.
 GOLDEN_EDGES = {
     "l15_2": {
         "e1": [1.0, 0.0],
-        "alpha_cross_upper": 1.7778772424443898,
-        "sigma_1": (0.45836879390368324, 0.5874010519681994, 0.5874010519681994),
-        "delta_m_1": (0.33746389191403225, 0.9999999998730015, 0.9999999998730015),
+        "alpha_cross_upper": 1.6826391472062947,
+        "sigma_1": (0.5228849229359414, 0.5874010519681994, 0.5874010519681994),
+        "delta_m_1": (0.5450224230656027, 0.9999999998730015, 0.9999999998730015),
     },
     "mix": {
         "e1": [0.8333333333333334, 0.0],
-        "alpha_cross_upper": 1.3689874924537697,
-        "sigma_1": (0.049479043913063125, 0.17851130197757925, 0.17851130197757925),
-        "delta_m_1": (0.0, 0.33667504193312436, 0.33667504193312436),
+        "alpha_cross_upper": 1.2737493972156746,
+        "sigma_1": (0.11399517294532119, 0.17851130197757925, 0.17851130197757925),
+        "delta_m_1": (0.05642901084078866, 0.33667504193312436, 0.33667504193312436),
     },
     "poly": {
         "e1": [1.0, 0.0],
-        "alpha_cross_upper": 2.0,
-        "sigma_1": (0.6891651534329876, 0.8181974114975037, 0.8181974114975037),
-        "delta_m_1": (0.4155887912061259, 0.9999999999999962, 0.9999999999999962),
+        "alpha_cross_upper": 1.913435506735599,
+        "sigma_1": (0.7536812824652457, 0.8181974114975037, 0.8181974114975037),
+        "delta_m_1": (0.6136399370534636, 0.9999999999999962, 0.9999999999999962),
     },
 }
 
@@ -156,7 +163,8 @@ def test_golden_dimension_one_constants():
 # delta_m on the benchmark's scaled l2_3 at eps values where, before
 # refinement stopped starts that cannot overtake the best one, a creeping
 # non-best start ran to or near the 3000-sweep cap: (lower, estimate,
-# upper) and witnesses (x, y), recorded before that stall rule existed
+# upper) and witnesses (x, y), recorded before that stall rule existed;
+# the lower at 0.999 re-recorded up from 0.0 with the monotonicity mesh
 GOLDEN_LONG_TAIL = {
     0.1: ((0.0, 0.005012562893400352, 0.005012562893400352),
           [0.5705082120287442, 0.33840859919296873, 0.06666666666680313],
@@ -167,7 +175,7 @@ GOLDEN_LONG_TAIL = {
     0.4 / 1.4: ((0.0, 0.041685152500474776, 0.041685152500474776),
                 [0.36350762678240484, 0.525381262110497, 0.19047619047705036],
                 [0.0, 0.0, 0.19047619047619055]),
-    0.999: ((0.0, 0.9552898221877726, 0.9552898221877726),
+    0.999: ((0.11357307577392914, 0.9552898221877726, 0.9552898221877726),
             [0.0211900581655112, 0.02096248743320165, 0.6659999999999997],
             [0.0, 0.0, 0.6659999999999997]),
 }

@@ -21,7 +21,7 @@ from latconst import BlockSum, FormMax, LatticeSpace, MaxOf, Scale, WeightedP, l
 from latconst.search import sphere_projection
 
 from oracles import reference_eval_abs
-from test_symmetry import _trees
+from strategies import norm_trees
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0, math.inf)
 
@@ -205,7 +205,7 @@ def test_stacked_projection_matches_the_two_call_projection(n):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(st.integers(2, 4).flatmap(lambda d: st.tuples(_trees(d), st.integers(0, 2**32 - 1))))
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(norm_trees(d), st.integers(0, 2**32 - 1))))
 def test_stacked_projection_matches_on_random_trees(case):
     norm, seed = case
     _assert_stacked_projection_matches(norm, np.random.default_rng(seed))

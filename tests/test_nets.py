@@ -1,24 +1,36 @@
 """Net construction, mesh certificates and budgets."""
 
+import itertools
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latconst.constants
 from latconst import (
+    BUILTIN_NAMES,
     BudgetExceededError,
+    LatticeSpace,
     UnsupportedDimensionError,
     alpha,
     beta,
     beta_gap_space,
+    builtin_space,
     delta_m,
     half_sphere_net,
     lambda_plus,
     lp_space,
     positive_face_net,
+    random_polyhedral2_space,
     sigma,
     support_pairs,
 )
-from latconst.nets import box_grid, face_point_count, grid_values
+from latconst.nets import box_grid, face_point_count, grid_values, support_face_net
+
+import oracles
+from strategies import norm_trees
 
 # every budgeted optimizer, as (name, call with resolution and pair budget)
 BUDGETED = [
@@ -65,14 +77,61 @@ def test_dim3_fine_grid_count_bound():
 
 
 def test_mesh_certificate_by_sampling():
-    rng = np.random.default_rng(0)
-    for space in (lp_space(3, 2), beta_gap_space()):
-        net = positive_face_net(space, 0.1)
-        for _ in range(300):
-            u = np.abs(rng.standard_normal(3))
-            u = u / space.norm_value(u)
-            dists = space.norm_values(net.points - u[None, :])
-            assert float(np.min(dists)) <= net.mesh_norm + 1e-12
+    # random points of S+, and of every multi-coordinate support's S+, lie
+    # within mesh_norm of their nearest net point, in the space's norm (the
+    # panel's by a hand-rolled evaluator of its rows), at a step dividing 1
+    # and at one that does not; the panel is the planar benchmark's
+    rng, panel = np.random.default_rng(0), np.random.default_rng(0)
+    cases = [(builtin_space(name), None) for name in BUILTIN_NAMES]
+    for _ in range(8):
+        space = random_polyhedral2_space(panel)
+        cases.append((space, oracles.formmax_norm(np.array(space.norm.rows))))
+    worst = 0.0
+    for space, norm in cases:
+        norm = norm or space.norm_values
+        for h in (0.1, 0.3):
+            for k in range(2, space.dim + 1):
+                for support in itertools.combinations(range(space.dim), k):
+                    net = support_face_net(space, support, h)
+                    sample = oracles.sphere_sample(norm, space.dim, support, 300, rng)
+                    dist = np.max(oracles.covering_distances(norm, net.points, sample))
+                    assert dist <= net.mesh_norm + 1e-12, (space.norm, support, h)
+                    worst = max(worst, dist / net.mesh_norm)
+    # the samples come close to the certificate somewhere (0.91 of it on l1_2)
+    assert worst > 0.5
+
+
+def test_monotonicity_mesh_constants():
+    # h * max_k ||1_{S minus k}|| / b_k: 1 on 2-D spaces with equal basis
+    # norms, sqrt(2) on l2_3, 2 on l1_3 and 1 on linf_3
+    h = 0.125
+    for name, factor in (("l2_2", 1.0), ("l15_2", 1.0), ("max_linf_l1", 1.0),
+                         ("l2_3", np.sqrt(2.0)), ("l1_3", 2.0), ("linf_3", 1.0)):
+        assert positive_face_net(builtin_space(name), h).mesh_norm == pytest.approx(h * factor)
+    # unequal basis norms: the larger ratio of the two
+    assert positive_face_net(lp_space(2, 1.5, weights=(1.0, 2.0)), h).mesh_norm == \
+        pytest.approx(h * 2.0 ** (2.0 / 3.0))
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=2), database=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(
+    norm_trees(d), st.sampled_from([1.0 / 4.0, 1.0 / 6.0]),
+    st.sampled_from(list(itertools.combinations(range(d), 2))),
+    st.integers(0, 2**32 - 1))))
+def test_mesh_certificate_over_random_norm_trees(case):
+    norm, h, pair, seed = case
+    space = LatticeSpace(norm.dim, norm)
+    n, rng = space.norm_values, np.random.default_rng(seed)
+    full = tuple(range(space.dim))
+    for support in (full, pair):
+        net = support_face_net(space, support, h)
+        sample = oracles.sphere_sample(n, space.dim, support, 64, rng)
+        assert np.max(oracles.covering_distances(n, net.points, sample)) <= net.mesh_norm + 1e-12
+    # the half-sphere net covers the full sphere up to sign
+    net = half_sphere_net(space, h)
+    sample = oracles.sphere_sample(n, space.dim, full, 64, rng, positive=False)
+    assert np.max(oracles.covering_distances(n, net.points, sample, signed=True)) <= \
+        net.mesh_norm + 1e-12
 
 
 def test_face_net_points_are_unit():

@@ -21,6 +21,7 @@ from latconst.nets import _domain_points, half_sphere_net, positive_face_net
 from latconst.search import scan_pairs
 
 import oracles
+from strategies import norm_trees
 
 
 def _image(blocks, perm):
@@ -77,41 +78,11 @@ def test_formmax_rows_compare_as_a_multiset():
     assert LatticeSpace(3, FormMax(uneven))._symmetry_blocks == ()
 
 
-# random trees for the property test: weights and rows from small sets, so
-# that equal weights and permuted rows, and with them symmetries, are common
-_P = st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf])
-
-
-def _leaves(dim):
-    weighted = st.builds(WeightedP, _P, st.lists(st.sampled_from([1.0, 2.0]),
-                                                 min_size=dim, max_size=dim))
-    row = st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=dim, max_size=dim)
-    swap = st.sampled_from(list(itertools.combinations(range(dim), 2)))
-
-    def closed(rows, ij):
-        i, j = ij
-        return FormMax(rows + [r[:i] + [r[j]] + r[i + 1 : j] + [r[i]] + r[j + 1 :]
-                               for r in rows])
-
-    forms = st.one_of(st.builds(FormMax, st.lists(row, min_size=1, max_size=3)),
-                      st.builds(closed, st.lists(row, min_size=1, max_size=2), swap))
-    leaves = [weighted, forms]
-    if dim >= 2:
-        leaves.append(st.builds(lambda p, k: BlockSum(p, [lc.lp(k, 2), lc.lp(dim - k, 2)]),
-                                _P, st.integers(1, dim - 1)))
-    return st.one_of(leaves)
-
-
-def _trees(dim):
-    return st.recursive(
-        _leaves(dim),
-        lambda kids: st.one_of(st.builds(Scale, st.sampled_from([0.5, 1.5]), kids),
-                               st.builds(MaxOf, st.lists(kids, min_size=1, max_size=3))),
-        max_leaves=4)
-
-
+# random trees (``strategies.norm_trees``) draw weights and rows from small
+# sets, so that equal weights and permuted rows, and with them symmetries,
+# are common
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.integers(2, 4).flatmap(lambda d: st.tuples(_trees(d), st.integers(0, 2**32 - 1))))
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(norm_trees(d), st.integers(0, 2**32 - 1))))
 def test_detected_transpositions_leave_the_norm_unchanged(case):
     norm, seed = case
     space = LatticeSpace(norm.dim, norm)
